@@ -30,6 +30,7 @@
 //! `--expect divergence|clean` turns the campaign outcome into the exit
 //! status, which is how CI gates the fuzzer end to end.
 
+use std::io::Write;
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -318,25 +319,39 @@ fn corpus_info(path: &Path) -> ExitCode {
         Ok(loaded) => loaded,
         Err(error) => return fail(&error.to_string()),
     };
+    match write_info(&mut std::io::stdout().lock(), path, &loaded) {
+        Ok(()) => ExitCode::SUCCESS,
+        // The reader went away early (`corpus info F | head`): it has
+        // all the output it wanted.
+        Err(error) if error.kind() == std::io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(error) => fail(&format!("writing to stdout: {error}")),
+    }
+}
+
+/// The `corpus info` report, one line per seed entry.
+fn write_info(out: &mut impl Write, path: &Path, loaded: &LoadedFile) -> std::io::Result<()> {
     let words: usize = loaded.entries.iter().map(|e| e.program.len()).sum();
     let digests: std::collections::HashSet<u64> =
         loaded.entries.iter().map(|e| e.trace_digest).collect();
     let trap_sets: std::collections::HashSet<u64> =
         loaded.entries.iter().map(|e| e.trap_causes).collect();
-    println!("corpus {}:", path.display());
-    println!(
+    writeln!(out, "corpus {}:", path.display())?;
+    writeln!(
+        out,
         "  format v{}  digest fingerprint {:#018x}",
         persist::FORMAT_VERSION,
         tf_arch::digest::STABILITY_FINGERPRINT
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  {} entries ({} instructions), {} unique trace digests, {} trap-cause sets",
         loaded.entries.len(),
         words,
         digests.len(),
         trap_sets.len()
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "  salvage: {} loaded, {} corrupt, {} unknown-tag{}",
         loaded.report.loaded,
         loaded.report.skipped,
@@ -346,32 +361,34 @@ fn corpus_info(path: &Path) -> ExitCode {
         } else {
             ""
         }
-    );
-    match loaded.checkpoint {
+    )?;
+    match &loaded.checkpoint {
         Some(checkpoint) => {
-            println!(
+            let (report, _) = checkpoint.fold();
+            writeln!(
+                out,
                 "  checkpoint: {} instructions against `{}` ({} divergent runs)",
-                checkpoint.report.instructions_generated,
-                checkpoint.report.dut,
-                checkpoint.report.divergent_runs
-            );
-            println!(
+                report.instructions_generated, report.dut, report.divergent_runs
+            )?;
+            writeln!(
+                out,
                 "  coordinator: {} worker stream(s), {} finding(s), \
                  autosave #{} after {} batch(es)",
-                checkpoint.worker_count,
-                checkpoint.report.findings.len(),
+                checkpoint.worker_count(),
+                report.findings.len(),
                 checkpoint.autosave_ordinal,
                 checkpoint.batches_completed
-            );
+            )?;
         }
-        None => println!("  checkpoint: none"),
+        None => writeln!(out, "  checkpoint: none")?,
     }
     if !loaded.entries.is_empty() {
-        println!("  calibration (energy under fast/explore):");
+        writeln!(out, "  calibration (energy under fast/explore):")?;
         let (mut cost, mut cov_yield, mut spent, mut children) = (0u64, 0u64, 0u64, 0u64);
         for (index, entry) in loaded.entries.iter().enumerate() {
             let c = &entry.calibration;
-            println!(
+            writeln!(
+                out,
                 "    [{index:4}] {:3} insns  cost {:6}  yield {}  spent {:5}  \
                  children {:4}  energy {}/{}",
                 entry.program.len(),
@@ -381,18 +398,19 @@ fn corpus_info(path: &Path) -> ExitCode {
                 c.children,
                 PowerSchedule::Fast.energy(c),
                 PowerSchedule::Explore.energy(c),
-            );
+            )?;
             cost += c.cost;
             cov_yield += u64::from(c.cov_yield);
             spent += c.spent;
             children += c.children;
         }
-        println!(
+        writeln!(
+            out,
             "  calibration totals: cost {cost}, yield {cov_yield}, spent {spent}, \
              children {children}"
-        );
+        )?;
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 fn corpus_merge(out: &Path, inputs: &[String]) -> ExitCode {
@@ -514,7 +532,7 @@ mod tests {
         // full budget.
         let loaded = persist::load_file(&corpus).unwrap();
         let checkpoint = loaded.checkpoint.unwrap();
-        assert!(checkpoint.report.instructions_generated >= 2_000);
+        assert!(checkpoint.fold().0.instructions_generated >= 2_000);
         assert!(!loaded.entries.is_empty());
 
         // A multi-worker persistent run seeds from and rewrites the same
@@ -529,7 +547,7 @@ mod tests {
         assert_eq!(run_fuzz(&sharded), ExitCode::SUCCESS);
         let loaded = persist::load_file(&corpus).unwrap();
         let checkpoint = loaded.checkpoint.expect("coordinated runs checkpoint too");
-        assert_eq!(checkpoint.worker_count, 2);
+        assert_eq!(checkpoint.worker_count(), 2);
         assert_eq!(checkpoint.workers.len(), 2);
         assert!(!loaded.entries.is_empty());
 

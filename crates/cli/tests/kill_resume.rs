@@ -90,8 +90,8 @@ fn kill_mid_campaign(corpus: &Path, jobs: &str) -> u64 {
     // file is whatever rename completed last, and it is a full state.
     let survivor = tf_fuzz::persist::load_file(corpus).expect("killed file loads clean");
     let checkpoint = survivor.checkpoint.expect("killed file has a checkpoint");
-    assert_eq!(checkpoint.worker_count, jobs.parse::<usize>().unwrap());
-    checkpoint.report.instructions_generated
+    assert_eq!(checkpoint.worker_count(), jobs.parse::<usize>().unwrap());
+    checkpoint.fold().0.instructions_generated
 }
 
 #[test]

@@ -255,6 +255,93 @@ fn resume_keeps_the_chaos_schedule_aligned() {
     std::fs::remove_file(&path).unwrap();
 }
 
+/// Drive a jobs-2 supervised campaign; with a corpus it autosaves after
+/// every round.
+fn drive_remote_jobs2(
+    budget: u64,
+    extra: &[&str],
+    corpus: Option<(&Path, bool)>,
+    sink: Option<&mut dyn EventSink>,
+) -> DriveOutcome {
+    let mut driver = CampaignDriver::new(config(17, budget))
+        .with_jobs(2)
+        .with_sync_every(512);
+    if let Some((path, resume)) = corpus {
+        driver = driver
+            .with_corpus(path)
+            .with_resume(resume)
+            .with_autosave_every(2);
+    }
+    if let Some(sink) = sink {
+        driver = driver.with_event_sink(sink);
+    }
+    driver
+        .run(|spec| {
+            DutSupervisor::spawn(
+                serve_argv(extra),
+                SupervisorConfig::default(),
+                spec.remote_batches,
+            )
+            .map_err(|error| error.to_string())
+        })
+        .expect("remote campaign runs")
+}
+
+/// The batch offset is per worker: a jobs-2 supervised campaign resumed
+/// from a mid-run autosave re-bases each worker's fresh child at that
+/// worker's own issued-batch count, so the chaos schedule fires at the
+/// same cumulative batch as in the uninterrupted run instead of
+/// starting over.
+#[test]
+fn a_jobs2_chaos_campaign_resumes_from_an_autosave_bit_identically() {
+    let budget = 6_000;
+    let probe = drive_remote_jobs2(budget, &[], None, None);
+    let total_batches = probe.remote.expect("remote stats").batches_issued;
+    assert!(total_batches > 8, "campaign too small to split");
+    let ordinal = (3 * total_batches / 4).to_string();
+    let chaos: &[&str] = &["--chaos-crash-after", &ordinal];
+
+    let want = drive_remote_jobs2(budget, chaos, None, None);
+    assert!(
+        want.report.dut_crashes >= 1,
+        "the fault must fire in-budget"
+    );
+
+    // An autosaving run; the sink freezes the first autosave, as a
+    // SIGKILL right after that write would.
+    let live = temp_path("chaos-jobs2-live.tfc");
+    let frozen = temp_path("chaos-jobs2-frozen.tfc");
+    let _ = std::fs::remove_file(&live);
+    let _ = std::fs::remove_file(&frozen);
+    let mut sink = |event: &CampaignEvent| {
+        if let CampaignEvent::AutosaveWritten { ordinal: 1, .. } = event {
+            std::fs::copy(&live, &frozen).unwrap();
+        }
+    };
+    let completed = drive_remote_jobs2(budget, chaos, Some((&live, false)), Some(&mut sink));
+    assert_eq!(completed.report, want.report, "autosaving changed the run");
+    let snapshot = persist::load_file(&frozen).expect("the first autosave was frozen");
+    let checkpoint = snapshot.checkpoint.expect("autosave carries a checkpoint");
+    assert!(
+        checkpoint.fold().0.dut_crashes == 0,
+        "froze after the fault"
+    );
+    assert!(
+        checkpoint
+            .workers
+            .iter()
+            .all(|stream| stream.remote_batches.is_some_and(|b| b > 0)),
+        "every stream records its own batch offset"
+    );
+
+    let got = drive_remote_jobs2(budget, chaos, Some((&frozen, true)), None);
+    assert_eq!(got.report, want.report, "resumed report drifted");
+    assert_eq!(got.report.findings, want.report.findings);
+    assert_eq!(got.workers, want.workers, "resumed workers drifted");
+    std::fs::remove_file(&live).unwrap();
+    std::fs::remove_file(&frozen).unwrap();
+}
+
 /// The CLI surface end to end: `--dut cmd:…` with `--expect crash`
 /// exits zero on a crash finding, stdout is byte-identical across runs,
 /// and a failed expectation exits 2 with a clear message.

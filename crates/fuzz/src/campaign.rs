@@ -21,7 +21,7 @@ use crate::diff::{
     ConfigError, DiffConfig, DiffEngine, DiffScratch, DiffVerdict, Divergence, DEFAULT_WINDOW,
 };
 use crate::generator::{GeneratorConfig, ProgramGenerator};
-use crate::persist::CampaignCheckpoint;
+use crate::persist::WorkerStream;
 use crate::rng::SplitMix64;
 use crate::schedule::PowerSchedule;
 
@@ -187,9 +187,30 @@ impl CampaignConfig {
         }
         fnv.finish()
     }
+
+    /// Check that a checkpoint frozen under config fingerprint `frozen`
+    /// can resume under this config.
+    ///
+    /// # Errors
+    ///
+    /// [`RestoreError::ConfigMismatch`] when the fingerprints differ:
+    /// the checkpoint's RNG streams would not reproduce this config's
+    /// run.
+    pub(crate) fn check_resume(&self, frozen: u64) -> Result<(), RestoreError> {
+        let found = self.fingerprint();
+        if frozen == found {
+            Ok(())
+        } else {
+            Err(RestoreError::ConfigMismatch {
+                expected: frozen,
+                found,
+            })
+        }
+    }
 }
 
-/// Why a [`CampaignCheckpoint`] could not be restored.
+/// Why a [`CampaignCheckpoint`](crate::persist::CampaignCheckpoint)
+/// could not be restored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RestoreError {
     /// The checkpoint was frozen under a different campaign
@@ -691,84 +712,67 @@ impl Campaign {
         admitted
     }
 
-    /// Freeze the campaign's complete mid-run state: the report counters
-    /// so far plus every RNG stream position and the coverage map. The
-    /// corpus entries are not part of the checkpoint value — the persist
-    /// layer stores them alongside it as ordinary seed records.
+    /// Freeze the campaign as one worker stream: the report counters so
+    /// far, every RNG stream position, the coverage map and the corpus,
+    /// moved rather than copied (freeze a clone to keep running). The
+    /// coordinator fills in the stream's worker index, foreign-admission
+    /// counter and remote batch offset, which the campaign cannot see.
     ///
-    /// Restoring the checkpoint (with the same config and the same corpus
-    /// entries) and running to a larger budget is bit-identical to a
-    /// single uninterrupted run of that budget.
+    /// Restoring the stream (with the same config) and running to a
+    /// larger budget is bit-identical to a single uninterrupted run of
+    /// that budget.
     #[must_use]
-    pub(crate) fn checkpoint(&self, report: &CampaignReport) -> CampaignCheckpoint {
+    pub(crate) fn checkpoint(self, report: CampaignReport) -> WorkerStream {
         let (generator_rng, library_rng) = self.generator.rng_states();
-        CampaignCheckpoint {
-            config_fingerprint: self.config.fingerprint(),
-            report: report.clone(),
+        WorkerStream {
+            worker: 0,
             campaign_rng: self.rng.state(),
             corpus_rng: self.corpus.rng_state(),
             generator_rng,
             library_rng,
-            coverage: self.coverage.clone(),
-            // The campaign cannot see through the `Dut` trait to a
-            // supervisor's issued-batch counter; drivers holding the
-            // concrete supervisor fill this in before persisting. The
-            // coordinator bookkeeping (autosave ordinal, round counters,
-            // worker streams) is likewise the coordinator's to fill —
-            // one Campaign is exactly one worker's stream.
+            foreign_admitted: 0,
+            report,
+            coverage: self.coverage,
+            entries: self.corpus.into_entries(),
             remote_batches: None,
-            autosave_ordinal: 0,
-            batches_completed: 0,
-            rounds_completed: 0,
-            pending_broadcast: 0,
-            worker_count: 1,
-            workers: Vec::new(),
         }
     }
 
-    /// Rebuild a campaign from a [`CampaignCheckpoint`] and the corpus
-    /// entries saved with it. Call [`Campaign::resume`] with the
-    /// checkpoint's report afterwards (or use the two-step flow the CLI
-    /// does: restore, then `resume`).
+    /// Rebuild a campaign from one worker stream. Call
+    /// [`Campaign::resume`] with the stream's report afterwards.
+    ///
+    /// The stream does not carry a config fingerprint — the checkpoint
+    /// holds the master one, which the coordinator checks with
+    /// [`CampaignConfig::check_resume`] before restoring any worker.
     ///
     /// # Errors
     ///
-    /// Rejects a checkpoint whose [`CampaignConfig::fingerprint`] does
-    /// not match `config` — resuming under different generation
-    /// parameters cannot reproduce the original stream — and a corpus
-    /// whose entry count differs from what the checkpoint was frozen
-    /// with (seed records lost to corruption, or foreign ones added):
-    /// mutation scheduling indexes into the corpus, so a changed corpus
-    /// silently breaks the bit-identical-resume guarantee.
+    /// Rejects a stream whose corpus does not dedup to the entry count
+    /// the stream's report was frozen with (seed records lost to
+    /// corruption, or foreign ones added): mutation scheduling indexes
+    /// into the corpus, so a changed corpus silently breaks the
+    /// bit-identical-resume guarantee.
     pub(crate) fn restore(
         config: CampaignConfig,
-        checkpoint: &CampaignCheckpoint,
-        entries: &[SeedEntry],
+        stream: &WorkerStream,
     ) -> Result<Self, RestoreError> {
-        let found = config.fingerprint();
-        if checkpoint.config_fingerprint != found {
-            return Err(RestoreError::ConfigMismatch {
-                expected: checkpoint.config_fingerprint,
-                found,
-            });
-        }
         let mut campaign = Campaign::new(config);
-        campaign.corpus.merge_entries(entries);
+        campaign.corpus.merge_entries(&stream.entries);
         // Validate *after* the merge: duplicate coverage keys dedup away,
         // so an offered list that matches the count but shrinks on merge
         // is just as unresumable as a short one.
-        if campaign.corpus.len() != checkpoint.report.corpus_size {
+        if campaign.corpus.len() != stream.report.corpus_size {
             return Err(RestoreError::CorpusMismatch {
-                expected: checkpoint.report.corpus_size,
+                expected: stream.report.corpus_size,
                 found: campaign.corpus.len(),
             });
         }
-        campaign.coverage = checkpoint.coverage.clone();
-        campaign.rng.set_state(checkpoint.campaign_rng);
-        campaign.corpus.set_rng_state(checkpoint.corpus_rng);
+        campaign.coverage = stream.coverage.clone();
+        campaign.rng.set_state(stream.campaign_rng);
+        campaign.corpus.set_rng_state(stream.corpus_rng);
         campaign
             .generator
-            .set_rng_states(checkpoint.generator_rng, checkpoint.library_rng);
+            .set_rng_states(stream.generator_rng, stream.library_rng);
         Ok(campaign)
     }
 
@@ -1012,11 +1016,10 @@ mod tests {
         let mut first = Campaign::new(half_config);
         let mut dut = Hart::new(1 << 16);
         let half = first.run(&mut dut);
-        let checkpoint = first.checkpoint(&half);
-        let entries = first.corpus().entries().to_vec();
+        let checkpoint = first.checkpoint(half);
 
         // ...then thawed into a fresh Campaign and run to the full budget.
-        let mut second = Campaign::restore(full_config, &checkpoint, &entries).unwrap();
+        let mut second = Campaign::restore(full_config, &checkpoint).unwrap();
         let mut dut = Hart::new(1 << 16);
         let resumed = second.resume(&mut dut, checkpoint.report.clone());
         assert_eq!(resumed, full, "resume must be bit-identical");
@@ -1025,14 +1028,13 @@ mod tests {
 
     #[test]
     fn restore_rejects_a_different_config() {
-        let campaign = Campaign::new(config(1_000));
-        let checkpoint = campaign.checkpoint(&CampaignReport::default());
+        let frozen = config(1_000).fingerprint();
         let other = CampaignConfig {
             seed: 0xBEEF,
             ..config(1_000)
         };
         assert!(matches!(
-            Campaign::restore(other, &checkpoint, &[]),
+            other.check_resume(frozen),
             Err(RestoreError::ConfigMismatch { .. })
         ));
         // The budget is *not* part of the fingerprint: raising it resumes.
@@ -1040,20 +1042,20 @@ mod tests {
             instruction_budget: 9_999,
             ..config(1_000)
         };
-        assert!(Campaign::restore(bigger, &checkpoint, &[]).is_ok());
+        assert!(bigger.check_resume(frozen).is_ok());
     }
 
     #[test]
     fn restore_rejects_a_different_schedule() {
         // The schedule shapes the corpus-selection stream, so it is part
         // of the config fingerprint — unlike the window.
-        let campaign = Campaign::new(config(1_000));
-        let checkpoint = campaign.checkpoint(&CampaignReport::default());
+        let frozen = config(1_000).fingerprint();
         let other = config(1_000).with_schedule(PowerSchedule::Fast);
         assert!(matches!(
-            Campaign::restore(other, &checkpoint, &[]),
+            other.check_resume(frozen),
             Err(RestoreError::ConfigMismatch { .. })
         ));
+        assert!(config(1_000).with_window(64).check_resume(frozen).is_ok());
     }
 
     #[test]
@@ -1095,10 +1097,9 @@ mod tests {
         let mut first = Campaign::new(half_config);
         let mut dut = Hart::new(1 << 16);
         let half = first.run(&mut dut);
-        let checkpoint = first.checkpoint(&half);
-        let entries = first.corpus().entries().to_vec();
+        let checkpoint = first.checkpoint(half);
 
-        let mut second = Campaign::restore(full_config, &checkpoint, &entries).unwrap();
+        let mut second = Campaign::restore(full_config, &checkpoint).unwrap();
         let mut dut = Hart::new(1 << 16);
         let resumed = second.resume(&mut dut, checkpoint.report.clone());
         assert_eq!(resumed, full, "fast-schedule resume must be bit-identical");
@@ -1117,9 +1118,10 @@ mod tests {
         let mut dut = Hart::new(1 << 16);
         let report = campaign.run(&mut dut);
         assert!(report.corpus_size > 0);
-        let checkpoint = campaign.checkpoint(&report);
+        let mut checkpoint = campaign.checkpoint(report);
+        checkpoint.entries.clear();
         assert!(matches!(
-            Campaign::restore(config(1_500), &checkpoint, &[]),
+            Campaign::restore(config(1_500), &checkpoint),
             Err(RestoreError::CorpusMismatch { found: 0, .. })
         ));
     }
@@ -1204,10 +1206,9 @@ mod tests {
         let mut first = Campaign::new(config(1_000).with_window(32));
         let mut dut = Hart::new(1 << 16);
         let half = first.run(&mut dut);
-        let checkpoint = first.checkpoint(&half);
-        let entries = first.corpus().entries().to_vec();
+        let checkpoint = first.checkpoint(half);
 
-        let mut second = Campaign::restore(full_config, &checkpoint, &entries).unwrap();
+        let mut second = Campaign::restore(full_config, &checkpoint).unwrap();
         let mut dut = Hart::new(1 << 16);
         let resumed = second.resume(&mut dut, checkpoint.report.clone());
         assert_eq!(resumed, full, "cross-window resume must be bit-identical");

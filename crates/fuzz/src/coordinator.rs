@@ -3,27 +3,29 @@
 //!
 //! [`CampaignDriver`] is the single entry point for running campaigns
 //! (it replaced the four historical doors: `Campaign::run`,
-//! `Campaign::resume`, `run_sharded` and `run_sharded_seeded`). A
+//! `Campaign::resume`, `run_sharded` and `run_sharded_seeded`). The
 //! coordinator on the calling thread owns the global [`Corpus`], the
-//! union [`CoverageMap`] and the findings; worker threads each own one
-//! seed-disjoint campaign and a device under test, and the two sides
-//! speak over channels in *synchronisation rounds*:
+//! union [`CoverageMap`] and the findings — and it owns the workers too:
+//! one seed-disjoint [`Campaign`] and one device under test each. The
+//! campaign advances in *synchronisation rounds*:
 //!
 //! ```text
-//!             RoundTask { broadcast, target }
-//!   coordinator ──────────────────────────────▶ worker 0..jobs
-//!   coordinator ◀────────────────────────────── worker 0..jobs
-//!             RoundResult { novel seeds, checkpoint, … }
+//!   round r    worker 0..jobs, each on a scoped thread borrowing its
+//!              campaign and DUT: prime the broadcast, advance to the
+//!              round's instruction target
+//!   barrier    the coordinator admits each worker's novel seeds
+//!              (its corpus entries past the pre-round length)
+//!   round r+1  the admitted tail is the next broadcast
 //! ```
 //!
-//! Each round, every active worker primes the seeds broadcast by the
-//! coordinator (the previous round's global admissions), advances its
-//! own campaign to the round's instruction target, and reports back the
-//! seeds *it* admitted. The coordinator merges those novel seeds into
-//! the global corpus **in worker-id order** — never channel-arrival
-//! order — and broadcasts the admitted tail next round, so one worker's
-//! discovery reshapes every other worker's power-schedule energies
-//! while the campaign runs, deterministically.
+//! The coordinator merges the novel seeds into the global corpus **in
+//! worker-id order** — never completion order — and broadcasts the
+//! admitted tail next round, so one worker's discovery reshapes every
+//! other worker's power-schedule energies while the campaign runs,
+//! deterministically. Nothing else crosses between rounds: full worker
+//! state (corpus, coverage, report) is read only to freeze a checkpoint
+//! — at an autosave and at the end of the run, where it is moved
+//! rather than copied.
 //!
 //! # Determinism rules
 //!
@@ -33,22 +35,22 @@
 //!   broadcast stream — never on thread scheduling.
 //! * Admission into the global corpus happens in `(round, worker id)`
 //!   order, and each round is a barrier: no result is folded before
-//!   every active worker has reported.
+//!   every active worker has finished the round.
 //! * With `jobs = 1` the broadcast is the worker's own echo (admitting
 //!   nothing and touching no RNG), and budget slicing is exact, so the
 //!   run is bit-identical to the historical single-threaded campaign.
 //! * Autosave cadence is counted in completed batches (one batch = one
 //!   worker-round), so checkpoint content never depends on wall-clock.
 //!
-//! Checkpoints (format v5, [`crate::persist`]) carry the coordinator
-//! state — autosave ordinal, batch/round counters, pending-broadcast
-//! tail and one [`WorkerStream`] per worker — so `--resume` composes
-//! with `--jobs N`: every worker thaws its own RNG streams, corpus and
-//! report and the rounds continue where they stopped.
+//! Checkpoints (format v6, [`crate::persist`]) have one shape at every
+//! worker count: the coordinator state — autosave ordinal, batch/round
+//! counters, pending-broadcast tail — and one [`WorkerStream`] per
+//! worker, so `--resume` composes with `--jobs N`: every worker thaws
+//! its own RNG streams, corpus and report and the rounds continue where
+//! they stopped.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use tf_arch::{Dut, RemoteDutStats};
@@ -335,12 +337,17 @@ pub struct SaveSummary {
 
 /// A finished coordinated campaign: the merged view, per-worker detail,
 /// the grown corpus and the checkpoint ready to persist.
+///
+/// The report, the per-worker reports and the coverage are all derived
+/// from the final checkpoint's worker streams ([`CampaignCheckpoint::fold`]),
+/// so what [`DriveOutcome::save`] persists and what the caller sees
+/// cannot disagree.
 #[derive(Debug, Clone)]
 pub struct DriveOutcome {
-    /// All workers folded together ([`CampaignReport::merge`]), with the
-    /// coverage counters replaced by the *union* of the per-worker
-    /// coverage maps. With one worker this is that worker's report,
-    /// verbatim.
+    /// All workers folded together ([`CampaignCheckpoint::fold`]): the
+    /// coverage counters come from the *union* of the per-worker
+    /// coverage maps and `corpus_size` from the global corpus. With one
+    /// worker this is that worker's report, verbatim.
     pub report: CampaignReport,
     /// Per-worker reports, in worker order.
     pub workers: Vec<WorkerReport>,
@@ -380,8 +387,9 @@ impl DriveOutcome {
         }
     }
 
-    /// The checkpoint the campaign froze at its end — what
-    /// [`DriveOutcome::save`] persists alongside the corpus.
+    /// The checkpoint the campaign froze at its end — one
+    /// [`WorkerStream`] per worker, moved out of the finished workers —
+    /// which [`DriveOutcome::save`] persists alongside the corpus.
     #[must_use]
     pub fn checkpoint(&self) -> &CampaignCheckpoint {
         &self.checkpoint
@@ -432,38 +440,94 @@ impl std::fmt::Display for DriveOutcome {
     }
 }
 
-/// One worker's round assignment: the seeds every worker admitted last
-/// round, and the absolute instruction target to advance to.
-struct RoundTask {
-    broadcast: Vec<SeedEntry>,
-    target: u64,
-}
-
-/// One worker's round report back to the coordinator.
-struct RoundResult {
-    worker: usize,
-    /// Seeds this worker's own run admitted this round, in admission
-    /// order (broadcast-primed foreign seeds are not echoed back).
-    novel: Vec<SeedEntry>,
-    /// The worker's full corpus at the end of the round — what its
-    /// [`WorkerStream`] persists.
-    entries: Vec<SeedEntry>,
-    /// The worker's frozen campaign state (report, RNG streams,
-    /// coverage).
-    checkpoint: CampaignCheckpoint,
-    remote: Option<RemoteDutStats>,
-    finished: bool,
-    foreign: u64,
-}
-
-/// A worker waiting to be spawned: its campaign, prior report and
-/// budget slice.
-struct WorkerSeat {
-    worker: usize,
+/// One worker the coordinator owns: its campaign and device, the report
+/// the campaign continues from, and its budget slice.
+struct Worker<D> {
+    index: usize,
     campaign: Campaign,
-    prior: CampaignReport,
+    dut: D,
+    report: CampaignReport,
     foreign: u64,
     budget: u64,
+    finished: bool,
+}
+
+impl<D: Dut> Worker<D> {
+    /// Play one round: prime the broadcast, advance the campaign to
+    /// `target`, and return the corpus length before the advance — the
+    /// worker's novel seeds are `corpus().entries()[before..]`
+    /// (broadcast-primed foreign seeds are not among them).
+    fn round(&mut self, broadcast: &[SeedEntry], target: u64) -> usize {
+        self.foreign += self.campaign.prime(broadcast) as u64;
+        self.campaign.set_instruction_budget(target);
+        let before = self.campaign.corpus().len();
+        let prior = std::mem::take(&mut self.report);
+        self.report = self.campaign.resume(&mut self.dut, prior);
+        // Falling short of the target means the DUT died for good
+        // mid-round (respawn budget exhausted); the worker retires with
+        // whatever it observed.
+        let dead = self.report.instructions_generated < target;
+        self.finished = dead || target >= self.budget;
+        before
+    }
+
+    fn remote_batches(&self) -> Option<u64> {
+        self.dut.remote_stats().map(|stats| stats.batches_issued)
+    }
+
+    /// The worker's stream as of now, for an autosave.
+    fn checkpoint(&self) -> WorkerStream {
+        WorkerStream {
+            worker: self.index,
+            foreign_admitted: self.foreign,
+            remote_batches: self.remote_batches(),
+            ..self.campaign.clone().checkpoint(self.report.clone())
+        }
+    }
+
+    /// The worker's final stream, its state moved rather than cloned.
+    fn into_checkpoint(self) -> WorkerStream {
+        WorkerStream {
+            worker: self.index,
+            foreign_admitted: self.foreign,
+            remote_batches: self.remote_batches(),
+            ..self.campaign.checkpoint(self.report)
+        }
+    }
+}
+
+/// Advance every unfinished worker by one round, each on a scoped
+/// thread that borrows it — off the calling thread even at jobs 1, so
+/// the caller only ever runs the coordinator's own work. Returns each
+/// advanced worker's index and pre-round corpus length, in worker order.
+fn play_round<D: Dut + Send>(
+    workers: &mut [Worker<D>],
+    broadcast: &[SeedEntry],
+    round: u64,
+    sync_every: u64,
+) -> Vec<(usize, usize)> {
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = workers
+            .iter_mut()
+            .filter(|worker| !worker.finished)
+            .map(|worker| {
+                let target = round_target(worker.budget, round, sync_every);
+                (
+                    worker.index,
+                    scope.spawn(move || worker.round(broadcast, target)),
+                )
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|(index, handle)| {
+                let before = handle
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+                (index, before)
+            })
+            .collect()
+    })
 }
 
 /// Cumulative per-worker counters the coordinator tracks for events.
@@ -494,13 +558,29 @@ impl WorkerCounters {
 /// writer and the outcome builder.
 struct CoordinatorState {
     global: Corpus,
+    /// Union of the workers' trace coverage as of their last reported
+    /// round — what `BatchCompleted::unique_traces` counts.
     live_coverage: CoverageMap,
-    totals: BTreeMap<usize, WorkerCounters>,
-    latest: BTreeMap<usize, RoundResult>,
+    /// Each worker's counters as of its last reported round.
+    totals: Vec<WorkerCounters>,
     pending: Vec<SeedEntry>,
     autosave_ordinal: u64,
     batches_completed: u64,
     rounds_completed: u64,
+}
+
+impl CoordinatorState {
+    /// Freeze the coordinated campaign around the workers' streams.
+    fn freeze(&self, config: &CampaignConfig, workers: Vec<WorkerStream>) -> CampaignCheckpoint {
+        CampaignCheckpoint {
+            config_fingerprint: config.fingerprint(),
+            autosave_ordinal: self.autosave_ordinal,
+            batches_completed: self.batches_completed,
+            rounds_completed: self.rounds_completed,
+            pending_broadcast: self.pending.len(),
+            workers,
+        }
+    }
 }
 
 /// The absolute instruction target worker with budget `budget` advances
@@ -519,151 +599,29 @@ fn fire(sink: &mut Option<&mut dyn EventSink>, event: &CampaignEvent) {
     }
 }
 
-/// One worker thread: pull round tasks until finished (or orphaned),
-/// prime the broadcast, advance the campaign, report back.
-fn worker_loop<D: Dut>(
-    mut seat: WorkerSeat,
-    mut dut: D,
-    tasks: &mpsc::Receiver<RoundTask>,
-    results: &mpsc::Sender<RoundResult>,
-) {
-    let mut report = std::mem::take(&mut seat.prior);
-    while let Ok(task) = tasks.recv() {
-        seat.foreign += seat.campaign.prime(&task.broadcast) as u64;
-        seat.campaign.set_instruction_budget(task.target);
-        let before = seat.campaign.corpus().len();
-        report = seat.campaign.resume(&mut dut, report);
-        // Falling short of the target means the DUT died for good
-        // mid-round (respawn budget exhausted); the worker retires with
-        // whatever it observed.
-        let dead = report.instructions_generated < task.target;
-        let finished = dead || task.target >= seat.budget;
-        let result = RoundResult {
-            worker: seat.worker,
-            novel: seat.campaign.corpus().entries()[before..].to_vec(),
-            entries: seat.campaign.corpus().entries().to_vec(),
-            checkpoint: seat.campaign.checkpoint(&report),
-            remote: dut.remote_stats(),
-            finished,
-            foreign: seat.foreign,
-        };
-        let delivered = results.send(result).is_ok();
-        if finished || !delivered {
-            break;
-        }
-    }
-}
-
-/// Merge the latest per-worker states into the aggregate view: reports
-/// folded in worker order, coverage counters replaced by the union,
-/// corpus size by the global corpus.
-/// The live calibration records across every worker's most recent
-/// corpus snapshot, keyed by [`SeedEntry::coverage_key`]. When several
-/// workers hold the same key the lowest worker id wins (`latest` is a
-/// `BTreeMap`, so iteration order is worker-id order) — which for a
-/// freshly admitted seed is always the worker that admitted it.
-fn live_calibrations(
-    latest: &BTreeMap<usize, RoundResult>,
-) -> BTreeMap<(u64, u64), crate::SeedCalibration> {
-    let mut live = BTreeMap::new();
-    for result in latest.values() {
-        for entry in &result.entries {
-            live.entry(entry.coverage_key())
-                .or_insert(entry.calibration);
-        }
-    }
-    live
-}
-
 /// Fold the workers' live calibration back into the global corpus.
 ///
 /// Global entries are clones taken at admission time, but the owning
 /// worker keeps calibrating its own copy every time the seed is
 /// selected and mutated. Before the corpus leaves the coordinator — an
-/// autosave or the final outcome — the live values are written back,
-/// so a jobs-1 save carries exactly the calibration the plain
+/// autosave or the final outcome — the live values are written back:
+/// for each coverage key, the lowest-indexed worker holding it wins,
+/// which for an admitted seed is always the worker that admitted it. A
+/// jobs-1 save therefore carries exactly the calibration the plain
 /// single-threaded campaign would have saved.
-fn refresh_calibration(global: &mut Corpus, latest: &BTreeMap<usize, RoundResult>) {
-    let live = live_calibrations(latest);
+fn refresh_calibration<D>(global: &mut Corpus, workers: &[Worker<D>]) {
+    let mut live = HashMap::new();
+    for worker in workers {
+        for entry in worker.campaign.corpus().entries() {
+            live.entry(entry.coverage_key())
+                .or_insert(entry.calibration);
+        }
+    }
     for entry in global.entries_mut() {
         if let Some(calibration) = live.get(&entry.coverage_key()) {
             entry.calibration = *calibration;
         }
     }
-}
-
-fn merge_latest(
-    latest: &BTreeMap<usize, RoundResult>,
-    global_len: usize,
-) -> (CampaignReport, CoverageMap) {
-    let mut coverage = CoverageMap::new();
-    let mut merged = CampaignReport::default();
-    for result in latest.values() {
-        coverage.merge(&result.checkpoint.coverage);
-        merged.merge(&result.checkpoint.report);
-    }
-    merged.unique_traces = coverage.unique();
-    merged.unique_trap_sets = coverage.unique_trap_sets();
-    merged.corpus_size = global_len;
-    (merged, coverage)
-}
-
-/// Freeze the whole coordinated campaign. With one worker the global
-/// block *is* that worker's campaign state (today's single-campaign
-/// checkpoint, verbatim); with more, the global block carries the
-/// merged view and one [`WorkerStream`] per worker carries the
-/// resumable streams.
-fn build_checkpoint(
-    config: &CampaignConfig,
-    jobs: usize,
-    state: &CoordinatorState,
-) -> CampaignCheckpoint {
-    let mut checkpoint = if jobs == 1 {
-        let result = &state.latest[&0];
-        let mut checkpoint = result.checkpoint.clone();
-        checkpoint.remote_batches = result.remote.map(|stats| stats.batches_issued);
-        checkpoint
-    } else {
-        let (report, coverage) = merge_latest(&state.latest, state.global.len());
-        CampaignCheckpoint {
-            config_fingerprint: config.fingerprint(),
-            report,
-            // The resumable streams live in the per-worker sections; the
-            // global block's own RNG slots are meaningless and zeroed.
-            campaign_rng: 0,
-            corpus_rng: 0,
-            generator_rng: 0,
-            library_rng: 0,
-            coverage,
-            remote_batches: None,
-            autosave_ordinal: 0,
-            batches_completed: 0,
-            rounds_completed: 0,
-            pending_broadcast: 0,
-            worker_count: jobs,
-            workers: state
-                .latest
-                .values()
-                .map(|result| WorkerStream {
-                    worker: result.worker,
-                    campaign_rng: result.checkpoint.campaign_rng,
-                    corpus_rng: result.checkpoint.corpus_rng,
-                    generator_rng: result.checkpoint.generator_rng,
-                    library_rng: result.checkpoint.library_rng,
-                    foreign_admitted: result.foreign,
-                    report: result.checkpoint.report.clone(),
-                    coverage: result.checkpoint.coverage.clone(),
-                    entries: result.entries.clone(),
-                })
-                .collect(),
-        }
-    };
-    checkpoint.autosave_ordinal = state.autosave_ordinal;
-    checkpoint.batches_completed = state.batches_completed;
-    checkpoint.rounds_completed = state.rounds_completed;
-    checkpoint.pending_broadcast = state.pending.len();
-    checkpoint.worker_count = jobs;
-    checkpoint
 }
 
 /// Builder-style driver for coordinated campaigns — the one way to run
@@ -791,8 +749,9 @@ impl<'a> CampaignDriver<'a> {
     }
 
     /// Run the campaign. `dut_factory` is called once per worker, on
-    /// the coordinator thread, with that worker's [`WorkerSpec`]; the
-    /// devices are moved into the worker threads.
+    /// the calling thread, with that worker's [`WorkerSpec`]; the
+    /// coordinator owns the devices and lends each one, with its
+    /// campaign, to a scoped thread every round.
     ///
     /// # Errors
     ///
@@ -802,7 +761,7 @@ impl<'a> CampaignDriver<'a> {
     ///
     /// # Panics
     ///
-    /// Panics when a worker thread panics.
+    /// Re-raises the panic of a worker thread.
     pub fn run<D, F>(mut self, mut dut_factory: F) -> Result<DriveOutcome, DriveError>
     where
         D: Dut + Send,
@@ -815,7 +774,7 @@ impl<'a> CampaignDriver<'a> {
         let mut sink = self.sink.take();
 
         // 1. Load the corpus file, if any.
-        let loaded: Option<LoadedFile> = match &self.corpus {
+        let mut loaded: Option<LoadedFile> = match &self.corpus {
             Some(path) if path.exists() => {
                 let loaded = persist::load_file(path).map_err(DriveError::Load)?;
                 fire(
@@ -838,7 +797,7 @@ impl<'a> CampaignDriver<'a> {
         // 2. Resume sanity checks that need no DUT.
         let checkpoint: Option<CampaignCheckpoint> = if self.resume {
             let path = self.corpus.as_deref().expect("validated above");
-            let loaded = loaded.as_ref().expect("missing-file case handled above");
+            let loaded = loaded.as_mut().expect("missing-file case handled above");
             if loaded.report.skipped > 0 || loaded.report.truncated {
                 return Err(DriveError::ResumeDamaged {
                     path: path.to_path_buf(),
@@ -846,74 +805,68 @@ impl<'a> CampaignDriver<'a> {
                     truncated: loaded.report.truncated,
                 });
             }
-            let Some(checkpoint) = loaded.checkpoint.clone() else {
+            let Some(checkpoint) = loaded.checkpoint.take() else {
                 return Err(DriveError::NoCheckpoint(path.to_path_buf()));
             };
-            if checkpoint.worker_count != jobs || (jobs > 1 && checkpoint.workers.len() != jobs) {
+            if checkpoint.worker_count() != jobs {
                 return Err(DriveError::JobsMismatch {
-                    frozen: checkpoint.worker_count,
+                    frozen: checkpoint.worker_count(),
                     requested: jobs,
                 });
             }
-            let found = config.fingerprint();
-            if checkpoint.config_fingerprint != found {
-                return Err(DriveError::Restore(RestoreError::ConfigMismatch {
-                    expected: checkpoint.config_fingerprint,
-                    found,
-                }));
-            }
+            config
+                .check_resume(checkpoint.config_fingerprint)
+                .map_err(DriveError::Restore)?;
             Some(checkpoint)
         } else {
             None
         };
+        let streams = checkpoint.as_ref().map(|c| c.workers.as_slice());
 
         // 3. Equip every worker with a DUT.
         let mut duts: Vec<D> = Vec::with_capacity(jobs);
         for worker in 0..jobs {
-            let remote_batches = if jobs == 1 {
-                checkpoint
-                    .as_ref()
-                    .and_then(|c| c.remote_batches)
-                    .unwrap_or(0)
-            } else {
-                0
-            };
             let spec = WorkerSpec {
                 worker,
                 seed: worker_seed(config.seed, worker),
-                remote_batches,
+                remote_batches: streams
+                    .and_then(|streams| streams[worker].remote_batches)
+                    .unwrap_or(0),
             };
             duts.push(dut_factory(spec).map_err(DriveError::DutFactory)?);
         }
 
-        // 4. Build the worker seats and the coordinator state.
+        // 4. Set up the global corpus: thawed, or primed from the seeds.
         let mut state = CoordinatorState {
             global: Corpus::new(config.seed),
             live_coverage: CoverageMap::new(),
-            totals: BTreeMap::new(),
-            latest: BTreeMap::new(),
+            totals: Vec::new(),
             pending: Vec::new(),
             autosave_ordinal: 0,
             batches_completed: 0,
             rounds_completed: 0,
         };
-        let seats: Vec<WorkerSeat> = if let Some(checkpoint) = &checkpoint {
-            let dut_name = duts[0].name();
-            if checkpoint.report.dut != dut_name {
-                return Err(DriveError::DutMismatch {
-                    recorded: checkpoint.report.dut.clone(),
-                    offered: dut_name.to_string(),
-                });
+        if let Some(checkpoint) = &checkpoint {
+            for (stream, dut) in checkpoint.workers.iter().zip(&duts) {
+                if stream.report.dut != dut.name() {
+                    return Err(DriveError::DutMismatch {
+                        recorded: stream.report.dut.clone(),
+                        offered: dut.name().to_string(),
+                    });
+                }
             }
-            if checkpoint.report.instructions_generated >= budget {
-                return Err(DriveError::NothingToResume {
-                    covered: checkpoint.report.instructions_generated,
-                });
+            let covered = checkpoint
+                .workers
+                .iter()
+                .map(|stream| stream.report.instructions_generated)
+                .sum();
+            if covered >= budget {
+                return Err(DriveError::NothingToResume { covered });
             }
             fire(
                 &mut sink,
                 &CampaignEvent::Resuming {
-                    instructions_done: checkpoint.report.instructions_generated,
+                    instructions_done: covered,
                     budget,
                 },
             );
@@ -924,63 +877,10 @@ impl<'a> CampaignDriver<'a> {
             state.rounds_completed = checkpoint.rounds_completed;
             let tail = checkpoint.pending_broadcast.min(state.global.len());
             state.pending = state.global.entries()[state.global.len() - tail..].to_vec();
-            if jobs == 1 {
-                let worker_config = shard_config(&config, 1, 0);
-                let campaign = Campaign::restore(worker_config, checkpoint, entries)
-                    .map_err(DriveError::Restore)?;
-                vec![WorkerSeat {
-                    worker: 0,
-                    campaign,
-                    prior: checkpoint.report.clone(),
-                    foreign: 0,
-                    budget,
-                }]
-            } else {
-                let mut streams: Vec<&WorkerStream> = checkpoint.workers.iter().collect();
-                streams.sort_by_key(|stream| stream.worker);
-                let mut seats = Vec::with_capacity(jobs);
-                for (index, stream) in streams.into_iter().enumerate() {
-                    if stream.worker != index {
-                        return Err(DriveError::JobsMismatch {
-                            frozen: checkpoint.worker_count,
-                            requested: jobs,
-                        });
-                    }
-                    let worker_config = shard_config(&config, jobs, stream.worker);
-                    let worker_budget = worker_config.instruction_budget;
-                    let adapted = CampaignCheckpoint {
-                        config_fingerprint: worker_config.fingerprint(),
-                        report: stream.report.clone(),
-                        campaign_rng: stream.campaign_rng,
-                        corpus_rng: stream.corpus_rng,
-                        generator_rng: stream.generator_rng,
-                        library_rng: stream.library_rng,
-                        coverage: stream.coverage.clone(),
-                        remote_batches: None,
-                        autosave_ordinal: 0,
-                        batches_completed: 0,
-                        rounds_completed: 0,
-                        pending_broadcast: 0,
-                        worker_count: 1,
-                        workers: Vec::new(),
-                    };
-                    let campaign = Campaign::restore(worker_config, &adapted, &stream.entries)
-                        .map_err(DriveError::Restore)?;
-                    seats.push(WorkerSeat {
-                        worker: stream.worker,
-                        campaign,
-                        prior: stream.report.clone(),
-                        foreign: stream.foreign_admitted,
-                        budget: worker_budget,
-                    });
-                }
-                seats
-            }
         } else {
-            // Fresh run: the global corpus is primed once, up front, and
-            // every worker primes it at its seat — so the round-0
-            // broadcast is empty and primed seeds never count as
-            // foreign admissions.
+            // The global corpus is primed once, up front, and every
+            // worker primes it at its seat — so the round-0 broadcast is
+            // empty and primed seeds never count as foreign admissions.
             let mut admitted = 0usize;
             if let Some(loaded) = &loaded {
                 admitted += state.global.merge_entries(&loaded.entries);
@@ -992,199 +892,167 @@ impl<'a> CampaignDriver<'a> {
             if loaded.is_some() || !self.seeds.is_empty() {
                 fire(&mut sink, &CampaignEvent::CorpusPrimed { admitted });
             }
-            (0..jobs)
-                .map(|worker| {
-                    let worker_config = shard_config(&config, jobs, worker);
-                    let worker_budget = worker_config.instruction_budget;
+        }
+
+        // 5. Seat the workers: each thaws its own stream, or starts
+        // fresh from the primed global corpus.
+        let mut workers = Vec::with_capacity(jobs);
+        for (index, dut) in duts.into_iter().enumerate() {
+            let worker_config = shard_config(&config, jobs, index);
+            let budget = worker_config.instruction_budget;
+            let (campaign, report, foreign) = match streams {
+                Some(streams) => {
+                    let stream = &streams[index];
+                    let campaign =
+                        Campaign::restore(worker_config, stream).map_err(DriveError::Restore)?;
+                    (campaign, stream.report.clone(), stream.foreign_admitted)
+                }
+                None => {
                     let mut campaign = Campaign::new(worker_config);
                     campaign.prime(state.global.entries());
-                    WorkerSeat {
-                        worker,
-                        campaign,
-                        prior: CampaignReport::default(),
-                        foreign: 0,
-                        budget: worker_budget,
-                    }
-                })
-                .collect()
-        };
-        state.totals = seats
-            .iter()
-            .map(|seat| (seat.worker, WorkerCounters::of(&seat.prior, seat.foreign)))
-            .collect();
-        let budgets: Vec<u64> = (0..jobs)
-            .map(|worker| shard_config(&config, jobs, worker).instruction_budget)
-            .collect();
+                    (campaign, CampaignReport::default(), 0)
+                }
+            };
+            state.totals.push(WorkerCounters::of(&report, foreign));
+            workers.push(Worker {
+                index,
+                campaign,
+                dut,
+                report,
+                foreign,
+                budget,
+                finished: false,
+            });
+        }
+        // The thawed streams and loaded records now live in the workers
+        // and the global corpus.
+        drop((checkpoint, loaded));
 
-        // 5. The round loop, inside a thread scope.
+        // 6. The round loop.
         let sync_every = self.sync_every;
         let autosave_every = self.autosave_every;
         let mut next_autosave = state.batches_completed + autosave_every;
         let path = self.corpus.clone();
+        let first_round = state.rounds_completed;
         let start = Instant::now();
-        std::thread::scope(|scope| -> Result<(), DriveError> {
-            let (result_tx, result_rx) = mpsc::channel::<RoundResult>();
-            let mut active: Vec<(usize, mpsc::Sender<RoundTask>)> = Vec::with_capacity(jobs);
-            for (seat, dut) in seats.into_iter().zip(duts) {
-                let (task_tx, task_rx) = mpsc::channel::<RoundTask>();
-                let results = result_tx.clone();
-                active.push((seat.worker, task_tx));
-                scope.spawn(move || worker_loop(seat, dut, &task_rx, &results));
-            }
-            drop(result_tx);
-
-            let mut round = state.rounds_completed;
-            while !active.is_empty() {
-                for (worker, tasks) in &active {
-                    let task = RoundTask {
-                        broadcast: state.pending.clone(),
-                        target: round_target(budgets[*worker], round, sync_every),
-                    };
-                    let _ = tasks.send(task);
-                }
-                let mut batch = Vec::with_capacity(active.len());
-                for _ in 0..active.len() {
-                    match result_rx.recv() {
-                        Ok(result) => batch.push(result),
-                        // Every worker hung up without reporting: a
-                        // worker panicked; the scope join will re-raise.
-                        Err(_) => return Ok(()),
+        while workers.iter().any(|worker| !worker.finished) {
+            let broadcast = std::mem::take(&mut state.pending);
+            let round = state.rounds_completed;
+            let advanced = play_round(&mut workers, &broadcast, round, sync_every);
+            state.rounds_completed += 1;
+            // Admission order is (round, worker id) — never completion
+            // order — which is what makes a fixed worker count
+            // deterministic. Only the round's novel seeds cross over.
+            let tail_start = state.global.len();
+            for (index, before) in advanced {
+                let worker = &workers[index];
+                let novel = &worker.campaign.corpus().entries()[before..];
+                state.batches_completed += 1;
+                let admitted = state.global.merge_entries(novel);
+                if round == first_round {
+                    state.live_coverage.merge(worker.campaign.coverage());
+                } else {
+                    // Every other key a worker learns arrives through a
+                    // broadcast, i.e. another worker's novel seeds.
+                    for entry in novel {
+                        state.live_coverage.admit(entry.trace_digest);
+                        state.live_coverage.admit_trap_set(entry.trap_causes);
                     }
                 }
-                // Admission order is (round, worker id) — never channel
-                // arrival order — which is what makes a fixed worker
-                // count deterministic.
-                batch.sort_by_key(|result| result.worker);
-                round += 1;
-                state.rounds_completed += 1;
-                let tail_start = state.global.len();
-                for result in &batch {
-                    state.batches_completed += 1;
-                    let admitted = state.global.merge_entries(&result.novel);
-                    state.live_coverage.merge(&result.checkpoint.coverage);
-                    let counters = WorkerCounters::of(&result.checkpoint.report, result.foreign);
-                    let previous = state
-                        .totals
-                        .insert(result.worker, counters)
-                        .unwrap_or_default();
-                    let mut sum = WorkerCounters::default();
-                    for c in state.totals.values() {
-                        sum.programs += c.programs;
-                        sum.instructions += c.instructions;
-                        sum.steps += c.steps;
-                        sum.divergent += c.divergent;
-                        sum.failures += c.failures;
-                        sum.foreign += c.foreign;
-                    }
+                let counters = WorkerCounters::of(&worker.report, worker.foreign);
+                let previous = std::mem::replace(&mut state.totals[index], counters);
+                let mut sum = WorkerCounters::default();
+                for c in &state.totals {
+                    sum.programs += c.programs;
+                    sum.instructions += c.instructions;
+                    sum.steps += c.steps;
+                    sum.divergent += c.divergent;
+                    sum.failures += c.failures;
+                    sum.foreign += c.foreign;
+                }
+                fire(
+                    &mut sink,
+                    &CampaignEvent::BatchCompleted {
+                        worker: index,
+                        batch: state.batches_completed,
+                        programs: sum.programs,
+                        instructions: sum.instructions,
+                        steps: sum.steps,
+                        unique_traces: state.live_coverage.unique(),
+                        corpus: state.global.len(),
+                        divergent_runs: sum.divergent,
+                        dut_failures: sum.failures,
+                        admitted,
+                        foreign_admitted: sum.foreign,
+                    },
+                );
+                if counters.divergent > previous.divergent {
                     fire(
                         &mut sink,
-                        &CampaignEvent::BatchCompleted {
-                            worker: result.worker,
-                            batch: state.batches_completed,
-                            programs: sum.programs,
-                            instructions: sum.instructions,
-                            steps: sum.steps,
-                            unique_traces: state.live_coverage.unique(),
-                            corpus: state.global.len(),
-                            divergent_runs: sum.divergent,
-                            dut_failures: sum.failures,
-                            admitted,
-                            foreign_admitted: sum.foreign,
+                        &CampaignEvent::DivergenceFound {
+                            worker: index,
+                            divergent_runs: counters.divergent,
                         },
                     );
-                    if counters.divergent > previous.divergent {
-                        fire(
-                            &mut sink,
-                            &CampaignEvent::DivergenceFound {
-                                worker: result.worker,
-                                divergent_runs: counters.divergent,
-                            },
-                        );
-                    }
-                    if counters.failures > previous.failures {
-                        fire(
-                            &mut sink,
-                            &CampaignEvent::DutFailureRecorded {
-                                worker: result.worker,
-                                dut_failures: counters.failures,
-                            },
-                        );
-                    }
                 }
-                for result in batch {
-                    if result.finished {
-                        active.retain(|(worker, _)| *worker != result.worker);
-                    }
-                    state.latest.insert(result.worker, result);
-                }
-                // The broadcast tail carries the admitting worker's
-                // *live* calibration, not the admission-time clone, so
-                // a resumed run (whose pending tail is rebuilt from the
-                // refreshed saved entries) primes byte-identical seeds.
-                let live = live_calibrations(&state.latest);
-                state.pending = state.global.entries()[tail_start..]
-                    .iter()
-                    .cloned()
-                    .map(|mut entry| {
-                        if let Some(calibration) = live.get(&entry.coverage_key()) {
-                            entry.calibration = *calibration;
-                        }
-                        entry
-                    })
-                    .collect();
-                if autosave_every > 0 && state.batches_completed >= next_autosave {
-                    let path = path.as_deref().expect("validated: autosave needs a path");
-                    state.autosave_ordinal += 1;
-                    refresh_calibration(&mut state.global, &state.latest);
-                    let frozen = build_checkpoint(&config, jobs, &state);
-                    persist::save_campaign(path, state.global.entries(), &frozen)
-                        .map_err(DriveError::Save)?;
+                if counters.failures > previous.failures {
                     fire(
                         &mut sink,
-                        &CampaignEvent::AutosaveWritten {
-                            ordinal: state.autosave_ordinal,
-                            batches_completed: state.batches_completed,
+                        &CampaignEvent::DutFailureRecorded {
+                            worker: index,
+                            dut_failures: counters.failures,
                         },
                     );
-                    while next_autosave <= state.batches_completed {
-                        next_autosave += autosave_every;
-                    }
                 }
             }
-            Ok(())
-        })?;
+            // The admitted tail is next round's broadcast. Its entries
+            // are the admitting workers' end-of-round copies, so they
+            // already carry the live calibration a resumed run rebuilds
+            // from the saved entries.
+            state.pending = state.global.entries()[tail_start..].to_vec();
+            if autosave_every > 0 && state.batches_completed >= next_autosave {
+                let path = path.as_deref().expect("validated: autosave needs a path");
+                state.autosave_ordinal += 1;
+                refresh_calibration(&mut state.global, &workers);
+                let streams = workers.iter().map(Worker::checkpoint).collect();
+                let frozen = state.freeze(&config, streams);
+                persist::save_campaign(path, state.global.entries(), &frozen)
+                    .map_err(DriveError::Save)?;
+                fire(
+                    &mut sink,
+                    &CampaignEvent::AutosaveWritten {
+                        ordinal: state.autosave_ordinal,
+                        batches_completed: state.batches_completed,
+                    },
+                );
+                while next_autosave <= state.batches_completed {
+                    next_autosave += autosave_every;
+                }
+            }
+        }
         let elapsed = start.elapsed();
 
-        // 6. Fold the final outcome.
-        assert!(
-            state.latest.len() == jobs,
-            "campaign worker panicked before reporting"
-        );
-        refresh_calibration(&mut state.global, &state.latest);
-        let (report, coverage) = if jobs == 1 {
-            // One worker: the merged view is that worker's report,
-            // verbatim — including any same-fingerprint repeats it chose
-            // to record — keeping the jobs=1 bit-identity guarantee.
-            let result = &state.latest[&0];
-            (
-                result.checkpoint.report.clone(),
-                result.checkpoint.coverage.clone(),
-            )
-        } else {
-            merge_latest(&state.latest, state.global.len())
-        };
-        let workers: Vec<WorkerReport> = state
-            .latest
-            .values()
-            .map(|result| WorkerReport {
-                worker: result.worker,
-                seed: worker_seed(config.seed, result.worker),
-                report: result.checkpoint.report.clone(),
+        // 7. Fold the final outcome from the workers' moved state.
+        refresh_calibration(&mut state.global, &workers);
+        let remote = workers[0].dut.remote_stats();
+        let streams = workers.into_iter().map(Worker::into_checkpoint).collect();
+        let checkpoint = state.freeze(&config, streams);
+        let (mut report, coverage) = checkpoint.fold();
+        report.corpus_size = state.global.len();
+        let workers = checkpoint
+            .workers
+            .iter()
+            .map(|stream| WorkerReport {
+                worker: stream.worker,
+                seed: worker_seed(config.seed, stream.worker),
+                report: stream.report.clone(),
             })
             .collect();
-        let foreign_admitted = state.latest.values().map(|result| result.foreign).sum();
-        let remote = state.latest.get(&0).and_then(|result| result.remote);
-        let checkpoint = build_checkpoint(&config, jobs, &state);
+        let foreign_admitted = checkpoint
+            .workers
+            .iter()
+            .map(|stream| stream.foreign_admitted)
+            .sum();
         Ok(DriveOutcome {
             report,
             workers,

@@ -28,18 +28,22 @@
 //!   a builder (`with_jobs`, `with_corpus`, `with_resume`,
 //!   `with_event_sink`, …) whose [`CampaignDriver::run`] spins up a
 //!   coordinator that owns the [`Corpus`], [`CoverageMap`] and findings
-//!   while worker threads pull seed batches over channels. Seeds one
-//!   worker discovers are admitted centrally *while the campaign runs*
-//!   and broadcast to every other worker, reshaping their power-schedule
+//!   as well as every worker's [`Campaign`] and device, and lends each
+//!   worker to a scoped thread for one synchronisation round at a time.
+//!   Seeds one worker discovers are admitted centrally *while the
+//!   campaign runs* — only each round's novel seeds cross over — and
+//!   broadcast to every other worker, reshaping their power-schedule
 //!   energies mid-flight — yet admission is ordered by worker id, not
-//!   channel arrival, so a `--jobs N` campaign is deterministic for a
+//!   completion order, so a `--jobs N` campaign is deterministic for a
 //!   fixed `N` and `--jobs 1` is bit-identical to the single-threaded
 //!   [`Campaign`]. Progress streams through the [`EventSink`] trait as
 //!   [`CampaignEvent`]s, and the merged result is a [`DriveOutcome`]
 //!   with aggregate steps/sec.
 //! * [`persist`] — the versioned on-disk corpus format: seed entries plus
 //!   an optional [`CampaignCheckpoint`](persist::CampaignCheckpoint)
-//!   (which since format v5 carries per-worker rng streams, so `--resume`
+//!   (since format v6 one shape at every worker count: the coordinator
+//!   counters plus one [`WorkerStream`](persist::WorkerStream) of rng
+//!   positions, report, coverage and corpus per worker, so `--resume`
 //!   composes with `--jobs N`), with a header that pins the format
 //!   version and the
 //!   [`digest stability fingerprint`](tf_arch::digest::STABILITY_FINGERPRINT)

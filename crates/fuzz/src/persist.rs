@@ -26,12 +26,13 @@
 //! — the program words, both coverage keys and the seed's scheduler
 //! calibration record — and are what
 //! `tf-cli corpus info|merge|minimize` operate on. A [`TAG_CHECKPOINT`]
-//! record is a full campaign freeze (counters, every RNG stream
-//! position, the coverage map, recorded divergences): together with the
-//! seed records it makes `tf-cli fuzz --resume` continue a campaign
-//! *bit-identically* to a run that was never interrupted. Unknown tags
-//! are skipped, so older readers survive newer writers of the same
-//! version.
+//! record is a full campaign freeze — the coordinator counters plus one
+//! stream per worker (every RNG stream position, its report, coverage
+//! map and corpus, the corpus stored as references to the seed records
+//! before it): together with the seed records it makes
+//! `tf-cli fuzz --resume` continue a campaign *bit-identically* to a run
+//! that was never interrupted. Unknown tags are skipped, so older
+//! readers survive newer writers of the same version.
 //!
 //! All multi-byte values are little-endian. Writes go through a
 //! temporary file in the target directory followed by a rename, so a
@@ -39,7 +40,7 @@
 //!
 //! [`STABILITY_FINGERPRINT`]: tf_arch::digest::STABILITY_FINGERPRINT
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::io::{Read, Write};
 use std::path::Path;
 
@@ -79,19 +80,24 @@ pub const MAGIC: [u8; 8] = *b"TFCORPUS";
 /// the crash/hang/desync counters, the recorded
 /// [`Finding`]s (cause, offending program, batch
 /// ordinal, repeat count) and the supervisor's issued-batch counter
-/// ([`CampaignCheckpoint::remote_batches`]), so `--resume` against a
+/// ([`WorkerStream::remote_batches`]), so `--resume` against a
 /// respawned external DUT — chaos schedules included — stays
 /// bit-identical to an uninterrupted run.
 ///
-/// Version 5 makes checkpoints coordinator-aware: the global block is
-/// re-laid-out (all report fields together, then the coverage sets) and
-/// gains the autosave ordinal, the completed-batch and completed-round
-/// counters, the pending-broadcast tail length, the worker count, and —
-/// for multi-worker campaigns — one [`WorkerStream`] section per worker
-/// (its four RNG stream positions, its own report, coverage map and
-/// corpus entries, and its foreign-admission counter), so `--resume`
-/// composes with `--jobs N`. Seed records are unchanged from v3/v4.
-pub const FORMAT_VERSION: u32 = 5;
+/// Version 5 made checkpoints coordinator-aware: the autosave ordinal,
+/// the completed-batch and completed-round counters, the
+/// pending-broadcast tail length and per-worker stream sections.
+///
+/// Version 6 gives every checkpoint one shape, whatever the worker
+/// count: the config fingerprint, the coordinator counters and one
+/// [`WorkerStream`] per worker, each fact stored once. The remote batch
+/// offset moves into each stream; the worker count, the campaign-wide
+/// report and the union coverage are folded from the streams
+/// ([`CampaignCheckpoint::fold`]) instead of stored; a stream's corpus
+/// refers to the file's seed records by index instead of embedding a
+/// second copy of each program; and its coverage map omits the keys its
+/// corpus entries already carry. Seed records are unchanged from v3.
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Record tag for one corpus seed entry.
 pub const TAG_SEED: u8 = 1;
@@ -178,58 +184,75 @@ pub struct LoadedFile {
     pub report: LoadReport,
 }
 
-/// A frozen campaign: everything `Campaign::run` needs to continue a
-/// half-spent budget exactly as if it had never stopped.
+/// A frozen coordinated campaign: everything the driver needs to
+/// continue a half-spent budget exactly as if it had never stopped.
 ///
-/// The corpus entries themselves are *not* duplicated here — they live
-/// as ordinary [`TAG_SEED`] records in the same file, which is what
-/// keeps checkpointed corpora directly usable by `corpus merge` and as
-/// plain cross-run seed material.
+/// The checkpoint has one shape at every worker count: the coordinator
+/// counters plus one [`WorkerStream`] per worker, in worker order. What
+/// can be derived from the streams is not stored — the worker count is
+/// [`CampaignCheckpoint::worker_count`], and the campaign-wide report
+/// and coverage are [`CampaignCheckpoint::fold`]. The global corpus is
+/// not part of the value either: it lives as ordinary [`TAG_SEED`]
+/// records in the same file, which keeps checkpointed corpora directly
+/// usable by `corpus merge` and as plain cross-run seed material.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignCheckpoint {
-    /// Fingerprint of the [`CampaignConfig`](crate::CampaignConfig) the
-    /// campaign ran under (budget excluded — resuming raises it).
+    /// Fingerprint of the master [`CampaignConfig`](crate::CampaignConfig)
+    /// the campaign ran under (budget excluded — resuming raises it).
     pub config_fingerprint: u64,
-    /// The report counters as of the freeze, divergences included.
-    pub report: CampaignReport,
-    /// Campaign scheduling stream position.
-    pub campaign_rng: u64,
-    /// Corpus mutation stream position.
-    pub corpus_rng: u64,
-    /// Generator decision stream position.
-    pub generator_rng: u64,
-    /// Instruction-library sampling stream position.
-    pub library_rng: u64,
-    /// The coverage map as of the freeze.
-    pub coverage: CoverageMap,
-    /// For campaigns driven through an out-of-process DUT supervisor:
-    /// the number of `run` batches issued to the child-process lineage
-    /// as of the freeze. A resumed campaign hands this back to the
-    /// server as its chaos-counter offset, so deterministic fault
-    /// schedules fire at the same cumulative batch whether or not the
-    /// campaign was interrupted. `None` for in-process DUTs.
-    pub remote_batches: Option<u64>,
-    /// How many autosave checkpoints the campaign has written so far
-    /// (v5; the coordinator bumps this on every periodic freeze).
+    /// How many autosave checkpoints the campaign has written so far.
     pub autosave_ordinal: u64,
     /// Worker round-slices completed across the whole campaign — the
-    /// deterministic currency the autosave cadence is counted in (v5).
+    /// deterministic currency the autosave cadence is counted in.
     pub batches_completed: u64,
     /// Coordinator rounds completed; a resumed campaign continues its
     /// round-slice targets from here so two resumed runs slice their
-    /// budgets identically (v5).
+    /// budgets identically.
     pub rounds_completed: u64,
     /// Length of the global corpus tail that was admitted in the final
     /// completed round and not yet broadcast to the workers. A resumed
-    /// coordinator re-broadcasts exactly these entries first (v5).
+    /// coordinator re-broadcasts exactly these entries first.
     pub pending_broadcast: usize,
-    /// Worker count the campaign ran with. `--resume` requires the same
-    /// `--jobs` value: per-worker streams only continue at the worker
-    /// count they were frozen at (v5).
-    pub worker_count: usize,
-    /// Per-worker stream sections for multi-worker campaigns; empty for
-    /// single-worker campaigns, whose state *is* the global block (v5).
+    /// One stream per worker, in worker order. `--resume` requires the
+    /// same `--jobs` value: per-worker streams only continue at the
+    /// worker count they were frozen at.
     pub workers: Vec<WorkerStream>,
+}
+
+impl CampaignCheckpoint {
+    /// Worker count the campaign ran with: one stream per worker.
+    #[must_use]
+    pub fn worker_count(&self) -> usize {
+        self.workers.len()
+    }
+
+    /// The campaign-wide view of the streams: the per-worker reports
+    /// folded in worker order ([`CampaignReport::merge`]) with the
+    /// coverage counters taken from the union of the per-worker coverage
+    /// maps, and that union. A lone worker's report is returned
+    /// verbatim, because `merge` deduplicates divergences by fingerprint
+    /// and a single campaign keeps the repeats it recorded. With several
+    /// workers `corpus_size` is the sum of the private corpora; the
+    /// driver replaces it with the global corpus length.
+    #[must_use]
+    pub fn fold(&self) -> (CampaignReport, CoverageMap) {
+        let mut coverage = CoverageMap::new();
+        for stream in &self.workers {
+            coverage.merge(&stream.coverage);
+        }
+        let mut report = match self.workers.as_slice() {
+            [lone] => lone.report.clone(),
+            streams => streams
+                .iter()
+                .fold(CampaignReport::default(), |mut merged, stream| {
+                    merged.merge(&stream.report);
+                    merged
+                }),
+        };
+        report.unique_traces = coverage.unique();
+        report.unique_trap_sets = coverage.unique_trap_sets();
+        (report, coverage)
+    }
 }
 
 /// The frozen mid-run state of one coordinator worker: everything needed
@@ -240,7 +263,8 @@ pub struct CampaignCheckpoint {
 /// lower-indexed worker's program enters the global corpus).
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkerStream {
-    /// Worker index, `0..worker_count`.
+    /// Worker index, `0..worker_count` — the stream's position in
+    /// [`CampaignCheckpoint::workers`].
     pub worker: usize,
     /// Campaign scheduling stream position.
     pub campaign_rng: u64,
@@ -259,6 +283,13 @@ pub struct WorkerStream {
     pub coverage: CoverageMap,
     /// The worker's private corpus entries, in admission order.
     pub entries: Vec<SeedEntry>,
+    /// For workers driven through an out-of-process DUT supervisor: the
+    /// number of `run` batches issued to the worker's child-process
+    /// lineage as of the freeze. A resumed campaign hands this back to
+    /// the server as its chaos-counter offset, so deterministic fault
+    /// schedules fire at the same cumulative batch whether or not the
+    /// campaign was interrupted. `None` for in-process DUTs.
+    pub remote_batches: Option<u64>,
 }
 
 // ---- byte-level helpers ------------------------------------------------
@@ -353,10 +384,7 @@ fn write_seed(entry: &SeedEntry) -> Vec<u8> {
         c.u32(insn.encode_lossy());
     }
     // v3: the calibration record that power schedules turn into energy.
-    c.u64(entry.calibration.cost);
-    c.u8(entry.calibration.cov_yield);
-    c.u64(entry.calibration.spent);
-    c.u64(entry.calibration.children);
+    write_calibration(&mut c, &entry.calibration);
     c.bytes
 }
 
@@ -377,12 +405,7 @@ fn read_seed(payload: &[u8]) -> Option<SeedEntry> {
     if program.last().map(Instruction::opcode) != Some(tf_riscv::Opcode::Ebreak) {
         return None;
     }
-    let calibration = SeedCalibration {
-        cost: s.u64()?,
-        cov_yield: s.u8()?,
-        spent: s.u64()?,
-        children: s.u64()?,
-    };
+    let calibration = read_calibration(&mut s)?;
     s.exhausted().then_some(SeedEntry {
         program,
         trace_digest,
@@ -485,11 +508,10 @@ pub(crate) fn read_trace_entry(s: &mut Slice) -> Option<Option<TraceEntry>> {
 }
 
 /// Serialize a full [`CampaignReport`] — counters, detection latency,
-/// divergences, robustness counters and findings. Shared between the
-/// global checkpoint block and every per-worker stream section. The
-/// coverage-derived `unique_traces`/`unique_trap_sets` fields are *not*
-/// written; readers rederive them from the coverage map stored next to
-/// the report.
+/// divergences, robustness counters and findings — of one worker
+/// stream. The coverage-derived `unique_traces`/`unique_trap_sets`
+/// fields are *not* written; readers rederive them from the coverage map
+/// stored next to the report.
 fn write_report(c: &mut Cursor, r: &CampaignReport) {
     c.str(&r.dut);
     for counter in [
@@ -600,86 +622,185 @@ fn read_report(s: &mut Slice) -> Option<CampaignReport> {
     Some(report)
 }
 
-/// Serialize a [`CoverageMap`]: all four key families plus the
-/// observation counter. Hash-set iteration order is nondeterministic;
-/// each family is sorted so identical campaigns write byte-identical
-/// checkpoints.
-fn write_coverage(c: &mut Cursor, coverage: &CoverageMap) {
-    let digests = coverage.digests_sorted();
-    c.u32(digests.len() as u32);
-    digests.into_iter().for_each(|d| c.u64(d));
-    let trap_sets = coverage.trap_sets_sorted();
-    c.u32(trap_sets.len() as u32);
-    trap_sets.into_iter().for_each(|t| c.u64(t));
-    let pc_pairs = coverage.pc_pairs_sorted();
-    c.u32(pc_pairs.len() as u32);
-    pc_pairs.into_iter().for_each(|p| c.u64(p));
-    let op_classes = coverage.op_classes_sorted();
-    c.u32(op_classes.len() as u32);
-    op_classes.into_iter().for_each(|o| c.u64(o));
+/// Serialize a worker's [`CoverageMap`] next to its corpus `entries`.
+/// Every entry's trace digest and trap-cause set are in the map — a
+/// campaign observes or admits both keys of each seed it holds — so
+/// only the digests and sets no entry carries are written, and the
+/// reader re-admits the rest from the entries. Hash-set iteration order
+/// is nondeterministic; each family is sorted so identical campaigns
+/// write byte-identical checkpoints.
+fn write_coverage(c: &mut Cursor, coverage: &CoverageMap, entries: &[SeedEntry]) {
+    fn write_set(c: &mut Cursor, values: Vec<u64>) {
+        c.u32(values.len() as u32);
+        values.into_iter().for_each(|v| c.u64(v));
+    }
+    fn write_unkeyed(c: &mut Cursor, mut sorted: Vec<u64>, keyed: HashSet<u64>) {
+        assert!(
+            keyed.iter().all(|k| sorted.binary_search(k).is_ok()),
+            "a corpus entry's coverage key is missing from its stream's coverage map"
+        );
+        sorted.retain(|k| !keyed.contains(k));
+        write_set(c, sorted);
+    }
+    write_unkeyed(
+        c,
+        coverage.digests_sorted(),
+        entries.iter().map(|e| e.trace_digest).collect(),
+    );
+    write_unkeyed(
+        c,
+        coverage.trap_sets_sorted(),
+        entries.iter().map(|e| e.trap_causes).collect(),
+    );
+    write_set(c, coverage.pc_pairs_sorted());
+    write_set(c, coverage.op_classes_sorted());
     c.u64(coverage.observations());
 }
 
 /// Inverse of [`write_coverage`].
-fn read_coverage(s: &mut Slice) -> Option<CoverageMap> {
+fn read_coverage(s: &mut Slice, entries: &[SeedEntry]) -> Option<CoverageMap> {
+    fn read_set(s: &mut Slice, mut admit: impl FnMut(u64)) -> Option<()> {
+        for _ in 0..s.u32()? {
+            admit(s.u64()?);
+        }
+        Some(())
+    }
     let mut coverage = CoverageMap::new();
-    let digests = s.u32()? as usize;
-    for _ in 0..digests {
-        coverage.admit(s.u64()?);
+    for entry in entries {
+        coverage.admit(entry.trace_digest);
+        coverage.admit_trap_set(entry.trap_causes);
     }
-    let trap_sets = s.u32()? as usize;
-    for _ in 0..trap_sets {
-        coverage.admit_trap_set(s.u64()?);
-    }
-    let pc_pairs = s.u32()? as usize;
-    for _ in 0..pc_pairs {
-        coverage.admit_pc_pairs(s.u64()?);
-    }
-    let op_classes = s.u32()? as usize;
-    for _ in 0..op_classes {
-        coverage.admit_op_classes(s.u64()?);
-    }
+    read_set(s, |d| coverage.admit(d))?;
+    read_set(s, |t| coverage.admit_trap_set(t))?;
+    read_set(s, |p| coverage.admit_pc_pairs(p))?;
+    read_set(s, |o| coverage.admit_op_classes(o))?;
     coverage.set_observations(s.u64()?);
     Some(coverage)
 }
 
-fn write_worker_stream(c: &mut Cursor, ws: &WorkerStream) {
-    c.u32(ws.worker as u32);
+/// Stream-entry kinds. A worker's corpus is mostly the global corpus in
+/// another order, so its entries refer to the file's seed records by
+/// index, carrying the worker's own calibration only where it differs
+/// from the record's. Only a program no seed record holds — one that
+/// lost a coverage-key race to a lower worker — is embedded in full.
+const ENTRY_SEED: u8 = 0;
+const ENTRY_RECALIBRATED: u8 = 1;
+const ENTRY_EMBEDDED: u8 = 2;
+
+fn write_calibration(c: &mut Cursor, calibration: &SeedCalibration) {
+    c.u64(calibration.cost);
+    c.u8(calibration.cov_yield);
+    c.u64(calibration.spent);
+    c.u64(calibration.children);
+}
+
+fn read_calibration(s: &mut Slice) -> Option<SeedCalibration> {
+    Some(SeedCalibration {
+        cost: s.u64()?,
+        cov_yield: s.u8()?,
+        spent: s.u64()?,
+        children: s.u64()?,
+    })
+}
+
+/// Write a worker's corpus against the seed records `seeds`, whose
+/// coverage keys `index` maps to record ordinals.
+fn write_stream_entries(
+    c: &mut Cursor,
+    entries: &[SeedEntry],
+    seeds: &[SeedEntry],
+    index: &HashMap<(u64, u64), usize>,
+) {
+    c.u32(entries.len() as u32);
+    for entry in entries {
+        let record = index
+            .get(&entry.coverage_key())
+            .filter(|&&i| seeds[i].program == entry.program);
+        match record {
+            Some(&i) if seeds[i].calibration == entry.calibration => {
+                c.u8(ENTRY_SEED);
+                c.u32(i as u32);
+            }
+            Some(&i) => {
+                c.u8(ENTRY_RECALIBRATED);
+                c.u32(i as u32);
+                write_calibration(c, &entry.calibration);
+            }
+            None => {
+                c.u8(ENTRY_EMBEDDED);
+                // Length-prefixed so the seed-record codec is reused
+                // verbatim (it validates against its exact payload
+                // length).
+                let payload = write_seed(entry);
+                c.u32(payload.len() as u32);
+                c.bytes.extend_from_slice(&payload);
+            }
+        }
+    }
+}
+
+/// Inverse of [`write_stream_entries`]. `seeds` holds one slot per seed
+/// record in the file, `None` where the record was lost to damage; a
+/// reference to a lost record fails the whole checkpoint.
+fn read_stream_entries(s: &mut Slice, seeds: &[Option<&SeedEntry>]) -> Option<Vec<SeedEntry>> {
+    let count = s.u32()? as usize;
+    let mut entries = Vec::with_capacity(count.min(1 << 16));
+    for _ in 0..count {
+        let kind = s.u8()?;
+        let entry = if kind == ENTRY_EMBEDDED {
+            let len = s.u32()? as usize;
+            read_seed(s.take(len)?)?
+        } else {
+            let mut entry = seeds.get(s.u32()? as usize).copied().flatten()?.clone();
+            match kind {
+                ENTRY_SEED => {}
+                ENTRY_RECALIBRATED => entry.calibration = read_calibration(s)?,
+                _ => return None,
+            }
+            entry
+        };
+        entries.push(entry);
+    }
+    Some(entries)
+}
+
+fn write_worker_stream(
+    c: &mut Cursor,
+    ws: &WorkerStream,
+    seeds: &[SeedEntry],
+    index: &HashMap<(u64, u64), usize>,
+) {
     c.u64(ws.campaign_rng);
     c.u64(ws.corpus_rng);
     c.u64(ws.generator_rng);
     c.u64(ws.library_rng);
     c.u64(ws.foreign_admitted);
+    // `u64::MAX` is the in-process "no supervisor" sentinel.
+    c.u64(ws.remote_batches.unwrap_or(u64::MAX));
     write_report(c, &ws.report);
-    write_coverage(c, &ws.coverage);
-    // Entries are embedded length-prefixed so the seed-record codec is
-    // reused verbatim (it validates against its exact payload length).
-    c.u32(ws.entries.len() as u32);
-    for entry in &ws.entries {
-        let payload = write_seed(entry);
-        c.u32(payload.len() as u32);
-        c.bytes.extend_from_slice(&payload);
-    }
+    write_stream_entries(c, &ws.entries, seeds, index);
+    write_coverage(c, &ws.coverage, &ws.entries);
 }
 
-fn read_worker_stream(s: &mut Slice) -> Option<WorkerStream> {
-    let worker = s.u32()? as usize;
+fn read_worker_stream(
+    s: &mut Slice,
+    worker: usize,
+    seeds: &[Option<&SeedEntry>],
+) -> Option<WorkerStream> {
     let campaign_rng = s.u64()?;
     let corpus_rng = s.u64()?;
     let generator_rng = s.u64()?;
     let library_rng = s.u64()?;
     let foreign_admitted = s.u64()?;
+    let remote_batches = match s.u64()? {
+        u64::MAX => None,
+        issued => Some(issued),
+    };
     let mut report = read_report(s)?;
-    let coverage = read_coverage(s)?;
+    let entries = read_stream_entries(s, seeds)?;
+    let coverage = read_coverage(s, &entries)?;
     report.unique_traces = coverage.unique();
     report.unique_trap_sets = coverage.unique_trap_sets();
-    let count = s.u32()? as usize;
-    let mut entries = Vec::with_capacity(count.min(1 << 16));
-    for _ in 0..count {
-        let len = s.u32()? as usize;
-        let payload = s.take(len)?;
-        entries.push(read_seed(payload)?);
-    }
     Some(WorkerStream {
         worker,
         campaign_rng,
@@ -690,73 +811,50 @@ fn read_worker_stream(s: &mut Slice) -> Option<WorkerStream> {
         report,
         coverage,
         entries,
+        remote_batches,
     })
 }
 
-fn write_checkpoint(cp: &CampaignCheckpoint) -> Vec<u8> {
+/// Serialize a checkpoint whose streams refer to `seeds`, the seed
+/// records written before it in the same file.
+fn write_checkpoint(cp: &CampaignCheckpoint, seeds: &[SeedEntry]) -> Vec<u8> {
+    let mut index = HashMap::with_capacity(seeds.len());
+    for (i, seed) in seeds.iter().enumerate() {
+        index.entry(seed.coverage_key()).or_insert(i);
+    }
     let mut c = Cursor::default();
     c.u64(cp.config_fingerprint);
-    c.u64(cp.campaign_rng);
-    c.u64(cp.corpus_rng);
-    c.u64(cp.generator_rng);
-    c.u64(cp.library_rng);
-    write_report(&mut c, &cp.report);
-    write_coverage(&mut c, &cp.coverage);
-    // `u64::MAX` is the in-process "no supervisor" sentinel.
-    c.u64(cp.remote_batches.unwrap_or(u64::MAX));
-    // v5 tail: coordinator state.
     c.u64(cp.autosave_ordinal);
     c.u64(cp.batches_completed);
     c.u64(cp.rounds_completed);
     c.u64(cp.pending_broadcast as u64);
-    c.u32(cp.worker_count as u32);
     c.u32(cp.workers.len() as u32);
     for ws in &cp.workers {
-        write_worker_stream(&mut c, ws);
+        write_worker_stream(&mut c, ws, seeds, &index);
     }
     c.bytes
 }
 
-fn read_checkpoint(payload: &[u8]) -> Option<CampaignCheckpoint> {
+fn read_checkpoint(payload: &[u8], seeds: &[Option<&SeedEntry>]) -> Option<CampaignCheckpoint> {
     let mut s = Slice::new(payload);
     let config_fingerprint = s.u64()?;
-    let campaign_rng = s.u64()?;
-    let corpus_rng = s.u64()?;
-    let generator_rng = s.u64()?;
-    let library_rng = s.u64()?;
-    let mut report = read_report(&mut s)?;
-    let coverage = read_coverage(&mut s)?;
-    report.unique_traces = coverage.unique();
-    report.unique_trap_sets = coverage.unique_trap_sets();
-    let remote_batches = match s.u64()? {
-        u64::MAX => None,
-        issued => Some(issued),
-    };
     let autosave_ordinal = s.u64()?;
     let batches_completed = s.u64()?;
     let rounds_completed = s.u64()?;
     let pending_broadcast = usize::try_from(s.u64()?).ok()?;
-    let worker_count = s.u32()? as usize;
+    // Loop over the declared count; only the pre-allocation is capped,
+    // so a corrupt count cannot reserve unbounded memory.
     let streams = s.u32()? as usize;
     let mut workers = Vec::with_capacity(streams.min(1 << 10));
-    for _ in 0..streams.min(1 << 10) {
-        workers.push(read_worker_stream(&mut s)?);
+    for worker in 0..streams {
+        workers.push(read_worker_stream(&mut s, worker, seeds)?);
     }
-
     s.exhausted().then_some(CampaignCheckpoint {
         config_fingerprint,
-        report,
-        campaign_rng,
-        corpus_rng,
-        generator_rng,
-        library_rng,
-        coverage,
-        remote_batches,
         autosave_ordinal,
         batches_completed,
         rounds_completed,
         pending_broadcast,
-        worker_count,
         workers,
     })
 }
@@ -781,7 +879,7 @@ fn file_bytes(entries: &[SeedEntry], checkpoint: Option<&CampaignCheckpoint>) ->
         write_record(&mut out, TAG_SEED, &write_seed(entry));
     }
     if let Some(cp) = checkpoint {
-        write_record(&mut out, TAG_CHECKPOINT, &write_checkpoint(cp));
+        write_record(&mut out, TAG_CHECKPOINT, &write_checkpoint(cp, entries));
     }
     out
 }
@@ -826,6 +924,12 @@ pub fn save_entries(path: &Path, entries: &[SeedEntry]) -> std::io::Result<()> {
 /// # Errors
 ///
 /// Propagates filesystem failures.
+///
+/// # Panics
+///
+/// Panics when a worker stream holds a corpus entry whose trace digest
+/// or trap-cause set is missing from that stream's coverage map — a
+/// state no campaign reaches, since admitting a seed observes both keys.
 pub fn save_campaign(
     path: &Path,
     entries: &[SeedEntry],
@@ -857,28 +961,39 @@ pub fn load_bytes(bytes: &[u8]) -> Result<LoadedFile, PersistError> {
     }
 
     let mut loaded = LoadedFile::default();
+    // One slot per seed record, damaged ones included, so checkpoint
+    // stream entries resolve by record ordinal: `Some(i)` is
+    // `loaded.entries[i]`.
+    let mut seed_slots: Vec<Option<usize>> = Vec::new();
     while !s.exhausted() {
         let Some((tag, payload)) = read_frame(&mut s) else {
             loaded.report.truncated = true;
             break;
         };
-        let Some(payload) = payload else {
-            // Intact frame, bad checksum: one record lost.
-            loaded.report.skipped += 1;
-            continue;
-        };
-        match tag {
-            TAG_SEED => match read_seed(payload) {
+        match (tag, payload) {
+            (TAG_SEED, payload) => match payload.and_then(read_seed) {
                 Some(entry) => {
+                    seed_slots.push(Some(loaded.entries.len()));
                     loaded.entries.push(entry);
                     loaded.report.loaded += 1;
                 }
-                None => loaded.report.skipped += 1,
+                None => {
+                    seed_slots.push(None);
+                    loaded.report.skipped += 1;
+                }
             },
-            TAG_CHECKPOINT => match read_checkpoint(payload) {
-                Some(cp) => loaded.checkpoint = Some(cp),
-                None => loaded.report.skipped += 1,
-            },
+            // Intact frame, bad checksum: one record lost.
+            (_, None) => loaded.report.skipped += 1,
+            (TAG_CHECKPOINT, Some(payload)) => {
+                let seeds: Vec<Option<&SeedEntry>> = seed_slots
+                    .iter()
+                    .map(|slot| slot.map(|i| &loaded.entries[i]))
+                    .collect();
+                match read_checkpoint(payload, &seeds) {
+                    Some(cp) => loaded.checkpoint = Some(cp),
+                    None => loaded.report.skipped += 1,
+                }
+            }
             _ => loaded.report.unknown += 1,
         }
     }
@@ -986,15 +1101,18 @@ mod tests {
 
     #[test]
     fn a_version_2_corpus_is_rejected_with_a_clear_error() {
-        let mut v2 = file_bytes(&[entry(&[ebreak()], 1, 0)], None);
-        v2[8..12].copy_from_slice(&2u32.to_le_bytes());
-        let err = load_bytes(&v2).unwrap_err();
-        assert!(matches!(err, PersistError::UnsupportedVersion { found: 2 }));
-        let message = err.to_string();
-        assert!(
-            message.contains("version 2") && message.contains("reads 5"),
-            "{message}"
-        );
+        // v5 is the two-shape checkpoint format this one replaced.
+        for version in [2u32, 5] {
+            let mut old = file_bytes(&[entry(&[ebreak()], 1, 0)], None);
+            old[8..12].copy_from_slice(&version.to_le_bytes());
+            let err = load_bytes(&old).unwrap_err();
+            assert!(matches!(err, PersistError::UnsupportedVersion { found } if found == version));
+            let message = err.to_string();
+            assert!(
+                message.contains(&format!("version {version}")) && message.contains("reads 6"),
+                "{message}"
+            );
+        }
     }
 
     #[test]

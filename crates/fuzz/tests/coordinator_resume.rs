@@ -62,7 +62,7 @@ fn resume_from_a_mid_run_autosave_is_bit_identical_at_any_job_count() {
         let snapshot = persist::load_file(&frozen).unwrap();
         let checkpoint = snapshot.checkpoint.expect("autosave carries a checkpoint");
         assert!(
-            checkpoint.report.instructions_generated < budget,
+            checkpoint.fold().0.instructions_generated < budget,
             "jobs {jobs}: the frozen autosave already covers the budget"
         );
 

@@ -6,7 +6,7 @@ use std::path::PathBuf;
 
 use tf_fuzz::prelude::*;
 use tf_fuzz::ProgramGenerator;
-use tf_riscv::{InstructionLibrary, LibraryConfig};
+use tf_riscv::{Instruction, InstructionLibrary, LibraryConfig};
 
 const MEM: u64 = 1 << 16;
 
@@ -133,6 +133,45 @@ fn truncation_and_corruption_salvage_the_rest() {
         assert!(corpus.entries().contains(entry), "no invented entries");
     }
 
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// A checkpoint holds one stream per worker however many workers ran:
+/// 1,025 streams — one past the 1,024 an earlier decoder stopped at —
+/// round-trip exactly, and so does every stream-entry encoding: a run
+/// of seed records taken verbatim, a seed record with the worker's own
+/// calibration, and a program no seed record holds.
+#[test]
+fn a_checkpoint_with_1025_worker_streams_round_trips() {
+    let outcome = CampaignDriver::new(config(0x5EED, 600))
+        .run(|_| Ok(Hart::new(MEM)))
+        .unwrap();
+    let lone = &outcome.checkpoint().workers[0];
+    assert!(lone.entries.len() >= 2, "campaign too small");
+    let mut checkpoint = outcome.checkpoint().clone();
+    checkpoint.workers = (0..1_025)
+        .map(|worker| {
+            let mut stream = lone.clone();
+            stream.worker = worker;
+            stream.foreign_admitted = worker as u64;
+            match worker % 3 {
+                1 => stream.entries[0].calibration.spent += 1,
+                // Same coverage key, different program: a lost key race.
+                2 => stream.entries[1].program.insert(0, Instruction::nop()),
+                _ => {}
+            }
+            stream
+        })
+        .collect();
+
+    let path = temp_path("streams-1025.tfc");
+    persist::save_campaign(&path, &outcome.corpus, &checkpoint).unwrap();
+    let loaded = persist::load_file(&path).unwrap();
+    assert_eq!(loaded.report.skipped, 0, "the checkpoint record was lost");
+    assert_eq!(loaded.entries, outcome.corpus);
+    let got = loaded.checkpoint.expect("checkpoint was saved");
+    assert_eq!(got.worker_count(), 1_025);
+    assert_eq!(got, checkpoint);
     std::fs::remove_file(&path).unwrap();
 }
 
