@@ -7,6 +7,10 @@
 //! * **chaos** — a library-sampled random instruction stream re-run from
 //!   reset, the fuzzing workload: FP, CSR accesses, frequent traps.
 //!
+//! Plus the cost every cold program pays before it runs: the mean
+//! `Instruction::decode` time per word over the chaos program's words
+//! (`decode_ns_per_word`).
+//!
 //! The harness is hand-rolled (criterion is unavailable in the offline
 //! build environment) but keeps its shape: a warm-up pass, `SAMPLES`
 //! timed samples, and the median reported alongside min/max so a single
@@ -103,6 +107,38 @@ fn bench(name: &str, program: &[Instruction], max_steps: u64, samples: usize) ->
     median
 }
 
+/// Decode every word of `program` `passes` times per sample and report
+/// the median mean ns per word.
+fn bench_decode(program: &[Instruction], passes: usize, samples: usize) -> f64 {
+    let words: Vec<u32> = program
+        .iter()
+        .map(|insn| insn.encode().expect("library instructions encode"))
+        .collect();
+    let sample = || -> f64 {
+        let start = Instant::now();
+        for _ in 0..passes {
+            for &word in &words {
+                black_box(Instruction::decode(black_box(word)).ok());
+            }
+        }
+        start.elapsed().as_nanos() as f64 / (passes * words.len()) as f64
+    };
+    for _ in 0..WARMUP.min(samples) {
+        sample();
+    }
+    let mut per_word: Vec<f64> = (0..samples).map(|_| sample()).collect();
+    per_word.sort_by(f64::total_cmp);
+    let median = per_word[samples / 2];
+    println!(
+        "{:<8} {median:8.1} ns/word  (min {:.1}, max {:.1} over {samples} samples of {} words)",
+        "decode",
+        per_word[0],
+        per_word[samples - 1],
+        words.len(),
+    );
+    median
+}
+
 fn main() {
     // `cargo bench` passes `--bench` (and test-filter args); none apply
     // to this hand-rolled harness.
@@ -115,9 +151,15 @@ fn main() {
     };
     println!("tf_arch interpreter throughput (Hart::run over Hart::step)");
     let fib = bench("fib", &fib_program(5), fib_steps, samples);
-    let chaos = bench("chaos", &chaos_program(4_096), chaos_steps, samples);
+    let chaos_insns = chaos_program(4_096);
+    let chaos = bench("chaos", &chaos_insns, chaos_steps, samples);
+    let decode = bench_decode(&chaos_insns, if smoke { 10 } else { 50 }, samples);
     json::update(
-        &[("fib_ns_per_step", fib), ("chaos_ns_per_step", chaos)],
+        &[
+            ("fib_ns_per_step", fib),
+            ("chaos_ns_per_step", chaos),
+            ("decode_ns_per_word", decode),
+        ],
         &[],
     );
 }

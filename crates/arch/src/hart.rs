@@ -44,7 +44,9 @@ struct MicroOp {
 /// prove the block's words intact in one L1 scan, and the block is
 /// rebuilt only when one of its words was actually stored to. An empty
 /// `ops` caches a *failed* build (the word at the block's pc does not
-/// decode), so repeated execution there does not re-pay the decode scan.
+/// decode), so repeated execution there skips straight to the per-step
+/// path, which raises the illegal-instruction trap from the decode cache
+/// without decoding again.
 #[derive(Debug, Clone)]
 struct Block {
     gen: u64,
@@ -120,11 +122,12 @@ pub struct Hart {
     reservation: Option<u64>,
     trace: Option<ExecutionTrace>,
     // Pre-decoded program cache filled by `load_program`: entry `i`
-    // holds the word stored at `icache_base + 4*i` and its decode, so
-    // the fetch path skips the linear opcode scan. Every hit is
-    // validated against the word actually loaded from memory, which
+    // holds the word stored at `icache_base + 4*i` and its decode
+    // (`None`: the word does not decode), so neither the block builder
+    // nor the per-step fetch path decodes a loaded word twice. Every hit
+    // is validated against the word actually loaded from memory, which
     // keeps self-modifying programs architecturally exact (a stale
-    // entry simply decodes the fresh word the slow way).
+    // entry simply decodes the fresh word).
     icache_base: u64,
     icache: Vec<(u32, Option<Instruction>)>,
     // Predecoded-block cache, indexed like the icache: entry `i` caches
@@ -315,21 +318,26 @@ impl Hart {
             .load_u32(pc)
             .ok_or(Trap::InstructionFault { addr: pc })?;
         *word_out = Some(word);
-        let insn = match self.cached_decode(pc, word) {
-            Some(insn) => insn,
-            None => Instruction::decode(word).map_err(|_| Trap::IllegalInstruction { word })?,
-        };
+        let insn = self
+            .decode_at(pc, word)
+            .ok_or(Trap::IllegalInstruction { word })?;
         self.exec(insn, pc, word)?;
         Ok(insn)
     }
 
-    /// The pre-decoded instruction for `pc`, provided the cache entry's
-    /// word matches what memory actually holds there.
-    fn cached_decode(&self, pc: u64, word: u32) -> Option<Instruction> {
-        let index = usize::try_from(pc.checked_sub(self.icache_base)? / 4).ok()?;
-        match self.icache.get(index) {
+    /// The decode of `word`, which memory holds at `pc`. When the
+    /// load-time cache entry for `pc` still holds `word`, its result is
+    /// final either way — decoded, or known not to decode — and nothing
+    /// is decoded; only a miss (a pc outside the loaded program, or a
+    /// word stored over it since) decodes afresh.
+    pub(crate) fn decode_at(&self, pc: u64, word: u32) -> Option<Instruction> {
+        let cached = pc
+            .checked_sub(self.icache_base)
+            .and_then(|offset| usize::try_from(offset / 4).ok())
+            .and_then(|index| self.icache.get(index));
+        match cached {
             Some(&(cached_word, decoded)) if cached_word == word => decoded,
-            _ => None,
+            _ => Instruction::decode(word).ok(),
         }
     }
 
@@ -375,8 +383,8 @@ impl Hart {
     /// Decode forward from `pc` to the next block-ending instruction (or
     /// [`BLOCK_CAP`], the end of the program image, or an undecodable
     /// word) and cache the straight-line result. A failed build (the
-    /// word at `pc` itself does not decode) is cached as an empty block
-    /// so the decode scan is not re-paid until that word is stored to.
+    /// word at `pc` itself does not decode) is cached as an empty block,
+    /// so the build is not retried until that word is stored to.
     fn build_block<'b>(
         &mut self,
         blocks: &'b mut [Option<Block>],
@@ -391,12 +399,8 @@ impl Hart {
             let Some(word) = self.mem.load_u32(addr) else {
                 break;
             };
-            let insn = match self.cached_decode(addr, word) {
-                Some(insn) => insn,
-                None => match Instruction::decode(word) {
-                    Ok(insn) => insn,
-                    Err(_) => break,
-                },
+            let Some(insn) = self.decode_at(addr, word) else {
+                break;
             };
             ops.push(MicroOp {
                 insn,

@@ -165,14 +165,15 @@ impl MutantHart {
     }
 
     /// Decode the instruction the next step would fetch, if the fetch
-    /// and decode succeed.
+    /// and decode succeed (through the hart's decode cache, as the step
+    /// itself will).
     fn peek(&self) -> Option<Instruction> {
         let pc = self.hart.state().pc();
         if pc % 4 != 0 {
             return None;
         }
         let word = self.hart.mem().load_u32(pc)?;
-        Instruction::decode(word).ok()
+        self.hart.decode_at(pc, word)
     }
 
     /// B2: when the next instruction would resolve a dynamic rounding

@@ -372,16 +372,20 @@ pub struct DriveOutcome {
     pub remote: Option<RemoteDutStats>,
     checkpoint: CampaignCheckpoint,
     path: Option<PathBuf>,
+    /// Steps executed by this run alone: a resumed campaign's report
+    /// also counts the steps its checkpoint carried in.
+    run_steps: u64,
 }
 
 impl DriveOutcome {
     /// Aggregate lockstep throughput: steps executed across all workers
-    /// per wall-clock second.
+    /// by this run (not the steps a resumed checkpoint carried in) per
+    /// wall-clock second of [`DriveOutcome::elapsed`].
     #[must_use]
     pub fn steps_per_sec(&self) -> f64 {
         let secs = self.elapsed.as_secs_f64();
         if secs > 0.0 {
-            self.report.steps_executed as f64 / secs
+            self.run_steps as f64 / secs
         } else {
             0.0
         }
@@ -934,6 +938,7 @@ impl<'a> CampaignDriver<'a> {
         let mut next_autosave = state.batches_completed + autosave_every;
         let path = self.corpus.clone();
         let first_round = state.rounds_completed;
+        let steps_before: u64 = state.totals.iter().map(|c| c.steps).sum();
         let start = Instant::now();
         while workers.iter().any(|worker| !worker.finished) {
             let broadcast = std::mem::take(&mut state.pending);
@@ -1031,6 +1036,7 @@ impl<'a> CampaignDriver<'a> {
             }
         }
         let elapsed = start.elapsed();
+        let run_steps = state.totals.iter().map(|c| c.steps).sum::<u64>() - steps_before;
 
         // 7. Fold the final outcome from the workers' moved state.
         refresh_calibration(&mut state.global, &workers);
@@ -1066,6 +1072,7 @@ impl<'a> CampaignDriver<'a> {
             remote,
             checkpoint,
             path,
+            run_steps,
         })
     }
 }
@@ -1222,6 +1229,31 @@ mod tests {
             Err(DriveError::Config(_))
         ));
         assert!(CampaignDriver::new(config(1_000)).validate().is_ok());
+    }
+
+    #[test]
+    fn resumed_throughput_counts_only_this_runs_steps() {
+        let dir = std::env::temp_dir().join(format!("tf-coord-rate-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("corpus.tfc");
+        let drive = |budget: u64, resume: bool| {
+            CampaignDriver::new(config(budget))
+                .with_corpus(&path)
+                .with_resume(resume)
+                .run(|_| Ok(Hart::new(1 << 16)))
+                .unwrap()
+        };
+        let half = drive(1_000, false);
+        half.save().unwrap();
+        let resumed = drive(2_000, true);
+        // The report also counts the checkpoint's steps; the rate must not.
+        let run = resumed.report.steps_executed - half.report.steps_executed;
+        let counted = resumed.steps_per_sec() * resumed.elapsed.as_secs_f64();
+        assert!(
+            (counted - run as f64).abs() < 0.5,
+            "rate covers {counted} steps, the resumed run took {run}"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -734,23 +734,23 @@ impl Instruction {
         Ok(word)
     }
 
-    fn matches(opcode: Opcode, word: u32) -> bool {
+    const fn matches(opcode: Opcode, word: u32) -> bool {
         let e = opcode.encoding();
-        if u32::from(e.opcode) != word & 0x7F {
+        if e.opcode as u32 != word & 0x7F {
             return false;
         }
         let f3 = ((word >> 12) & 0x7) as u8;
         let f7 = ((word >> 25) & 0x7F) as u8;
         let rs2f = ((word >> 20) & 0x1F) as u8;
-        let f3_ok = e.funct3.is_none_or(|v| v == f3);
+        let f3_ok = free_or(e.funct3, f3);
         match opcode.format() {
-            Format::R | Format::Fp | Format::ShamtW => f3_ok && e.funct7 == Some(f7),
-            Format::FpUnary => f3_ok && e.funct7 == Some(f7) && e.rs2 == Some(rs2f),
+            Format::R | Format::Fp | Format::ShamtW => f3_ok && is(e.funct7, f7),
+            Format::FpUnary => f3_ok && is(e.funct7, f7) && is(e.rs2, rs2f),
             // funct7 bit 0 is shamt[5] for 64-bit shifts.
-            Format::Shamt => f3_ok && e.funct7 == Some(f7 & !1),
-            Format::Amo => f3_ok && e.funct7 == Some(f7 >> 2) && e.rs2.is_none_or(|v| v == rs2f),
-            Format::R4 => e.funct7 == Some(f7 & 0b11),
-            Format::System => word == u32::from(e.rs2.unwrap_or(0)) << 20 | u32::from(e.opcode),
+            Format::Shamt => f3_ok && is(e.funct7, f7 & !1),
+            Format::Amo => f3_ok && is(e.funct7, f7 >> 2) && free_or(e.rs2, rs2f),
+            Format::R4 => is(e.funct7, f7 & 0b11),
+            Format::System => word == or_zero(e.rs2) << 20 | e.opcode as u32,
             Format::I
             | Format::S
             | Format::B
@@ -775,6 +775,18 @@ impl Instruction {
 
     /// Decode a 32-bit machine word.
     ///
+    /// The word decodes as the *first* opcode in [`Opcode::ALL`] order
+    /// whose fixed fields it matches, and its operands are then
+    /// validated exactly as the typed constructors validate them.
+    ///
+    /// Cost: one lookup in a table keyed on the major opcode (bits 6:0)
+    /// and the high field (bits 31:25), then a match test on each
+    /// candidate opcode for that key (at most 8 in the current opcode
+    /// table), then operand extraction. Words whose key has no candidate
+    /// are rejected after the lookup alone. The table is a `static` of
+    /// under 64 KiB, computed at compile time from [`Opcode::encoding`]
+    /// and [`Opcode::format`].
+    ///
     /// # Errors
     ///
     /// Returns [`RiscvError::UnknownEncoding`] for words outside the
@@ -786,9 +798,12 @@ impl Instruction {
     /// are not 4-byte aligned (this crate only models whole-instruction
     /// offsets).
     pub fn decode(word: u32) -> Result<Self, RiscvError> {
-        let opcode = Opcode::ALL
+        let key = decode_key(word);
+        let bucket =
+            &DECODE_TABLE[usize::from(DECODE_TABLE[key])..usize::from(DECODE_TABLE[key + 1])];
+        let opcode = bucket
             .iter()
-            .copied()
+            .map(|&index| Opcode::ALL[usize::from(index)])
             .find(|&op| Self::matches(op, word))
             .ok_or(RiscvError::UnknownEncoding { word })?;
         Self::from_word(opcode, word)
@@ -878,10 +893,190 @@ impl Instruction {
     }
 }
 
+/// `field` is fixed to `value`.
+const fn is(field: Option<u8>, value: u8) -> bool {
+    matches!(field, Some(v) if v == value)
+}
+
+/// `field` is free, or fixed to `value`.
+const fn free_or(field: Option<u8>, value: u8) -> bool {
+    match field {
+        Some(v) => v == value,
+        None => true,
+    }
+}
+
+/// The value of a fixed field, or zero for a free one.
+const fn or_zero(field: Option<u8>) -> u32 {
+    match field {
+        Some(v) => v as u32,
+        None => 0,
+    }
+}
+
+/// Number of decode-table keys: every (major opcode, bits 31:25) pair.
+const DECODE_KEYS: usize = 1 << 14;
+
+/// The decode-table key of `word`: its major opcode (bits 6:0) and its
+/// high field (bits 31:25).
+const fn decode_key(word: u32) -> usize {
+    ((word & 0x7F) << 7 | word >> 25) as usize
+}
+
+/// The key under which `op` is a decode candidate with bits 31:25 set to
+/// `high`, if it is one there.
+///
+/// `matches` reads the major opcode, funct3, bits 31:25 and the rs2
+/// field (plus, for `System`, the all-zero rd/rs1), so an opcode can
+/// match some word with a given key exactly when it matches the word
+/// carrying that key, its own fixed funct3/rs2 and zero elsewhere.
+const fn candidate_key(op: Opcode, high: u32) -> Option<usize> {
+    let e = op.encoding();
+    let word = e.opcode as u32 | or_zero(e.funct3) << 12 | or_zero(e.rs2) << 20 | high << 25;
+    if Instruction::matches(op, word) {
+        Some(decode_key(word))
+    } else {
+        None
+    }
+}
+
+/// Candidates per decode key (the extra last slot stays zero).
+const fn bucket_sizes() -> [u16; DECODE_KEYS + 1] {
+    let mut sizes = [0u16; DECODE_KEYS + 1];
+    let mut index = 0;
+    while index < Opcode::ALL.len() {
+        let mut high = 0;
+        while high < 1 << 7 {
+            if let Some(key) = candidate_key(Opcode::ALL[index], high) {
+                sizes[key] += 1;
+            }
+            high += 1;
+        }
+        index += 1;
+    }
+    sizes
+}
+
+/// Length of [`DECODE_TABLE`]: the bucket bounds, then every candidate.
+const DECODE_TABLE_LEN: usize = {
+    let sizes = bucket_sizes();
+    let mut len = DECODE_KEYS + 1;
+    let mut key = 0;
+    while key < DECODE_KEYS {
+        len += sizes[key] as usize;
+        key += 1;
+    }
+    assert!(
+        len <= u16::MAX as usize,
+        "decode-table offsets must fit u16"
+    );
+    assert!(
+        2 * len <= 64 * 1024,
+        "the decode table must stay within 64 KiB"
+    );
+    len
+};
+
+/// The candidate opcodes of every decode key, as one flat array.
+/// Entries `0..=DECODE_KEYS` are bucket bounds: key `k`'s candidates are
+/// `DECODE_TABLE[DECODE_TABLE[k]..DECODE_TABLE[k + 1]]`, indices into
+/// [`Opcode::ALL`] in that order, so the first candidate that matches is
+/// the first opcode of the whole table that matches.
+static DECODE_TABLE: [u16; DECODE_TABLE_LEN] = {
+    // Bucket sizes become bucket ends.
+    let mut table = [0u16; DECODE_TABLE_LEN];
+    let sizes = bucket_sizes();
+    let mut end = DECODE_KEYS + 1;
+    let mut key = 0;
+    while key <= DECODE_KEYS {
+        end += sizes[key] as usize;
+        table[key] = end as u16;
+        key += 1;
+    }
+    // Filling each bucket back to front, from the last candidate, leaves
+    // it in `Opcode::ALL` order and its bound slot at its start.
+    let mut index = Opcode::ALL.len();
+    while index > 0 {
+        index -= 1;
+        let mut high = 1 << 7;
+        while high > 0 {
+            high -= 1;
+            if let Some(key) = candidate_key(Opcode::ALL[index], high) {
+                table[key] -= 1;
+                table[table[key] as usize] = index as u16;
+            }
+        }
+    }
+    table
+};
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::csr;
+
+    /// The reference decode: a linear scan of the whole opcode table.
+    fn decode_by_scan(word: u32) -> Result<Instruction, RiscvError> {
+        let opcode = Opcode::ALL
+            .iter()
+            .copied()
+            .find(|&op| Instruction::matches(op, word))
+            .ok_or(RiscvError::UnknownEncoding { word })?;
+        Instruction::from_word(opcode, word)
+    }
+
+    #[test]
+    fn table_decode_equals_the_linear_scan_on_every_fixed_field_combination() {
+        for major in 0..1u32 << 7 {
+            for funct3 in 0..1u32 << 3 {
+                for funct7 in 0..1u32 << 7 {
+                    for rs2 in [0u32, 1, 2, 3, 31] {
+                        // Zero rd/rs1 reach the full-word `System` match.
+                        for (rd, rs1) in [(0u32, 0u32), (5, 17)] {
+                            let word = major
+                                | rd << 7
+                                | funct3 << 12
+                                | rs1 << 15
+                                | rs2 << 20
+                                | funct7 << 25;
+                            assert_eq!(
+                                Instruction::decode(word),
+                                decode_by_scan(word),
+                                "word {word:#010x}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn table_decode_equals_the_linear_scan_on_random_words() {
+        let mut state = 0x7462_6C65_6465_636Fu64;
+        for _ in 0..1 << 20 {
+            // splitmix64
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            let word = (z ^ (z >> 31)) as u32;
+            assert_eq!(
+                Instruction::decode(word),
+                decode_by_scan(word),
+                "word {word:#010x}"
+            );
+        }
+    }
+
+    #[test]
+    fn decode_buckets_hold_at_most_8_candidates() {
+        let widest = (0..DECODE_KEYS)
+            .map(|key| DECODE_TABLE[key + 1] - DECODE_TABLE[key])
+            .max()
+            .unwrap();
+        assert!(widest <= 8, "a bucket holds {widest} candidates");
+    }
 
     #[test]
     fn r_type_round_trip() {

@@ -214,13 +214,13 @@ macro_rules! opcodes {
 
             /// Encoding format.
             #[must_use]
-            pub fn format(self) -> Format {
+            pub const fn format(self) -> Format {
                 match self { $(Opcode::$variant => Format::$fmt,)* }
             }
 
             /// Fixed encoding fields.
             #[must_use]
-            pub fn encoding(self) -> Encoding {
+            pub const fn encoding(self) -> Encoding {
                 match self {
                     $(Opcode::$variant => Encoding {
                         opcode: $op,
