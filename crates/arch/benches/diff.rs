@@ -159,7 +159,8 @@ fn main() {
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
     let mut entries = vec![
         ("diff_ns_per_step", diff),
-        // The batched path campaigns run by default (window = 16).
+        // The batched path campaigns run by default (any window > 1:
+        // one final digest sample per side).
         ("lockstep_windowed", windowed),
         ("digest_ns_resident8", digest_small),
         ("digest_ns_resident512", digest_large),

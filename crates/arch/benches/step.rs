@@ -12,11 +12,15 @@
 //! (`decode_ns_per_word`).
 //!
 //! The harness is hand-rolled (criterion is unavailable in the offline
-//! build environment) but keeps its shape: a warm-up pass, `SAMPLES`
-//! timed samples, and the median reported alongside min/max so a single
-//! scheduler hiccup cannot move the headline number. Run with
-//! `cargo bench -p tf_arch`; CI compiles it via `cargo bench --no-run`
-//! and executes it in smoke mode (`TF_BENCH_SMOKE=1`, a few iterations).
+//! build environment) but keeps its shape: warm-up, `SAMPLES` timed
+//! samples, and the median reported alongside min/max so a single
+//! scheduler hiccup cannot move the headline number. The workloads are
+//! sampled in interleaved rounds so a slow host phase hits them alike.
+//! Run with `cargo bench -p tf_arch`; CI compiles it via
+//! `cargo bench --no-run` and executes it in smoke mode
+//! (`TF_BENCH_SMOKE=1`: short runs, but still the median of
+//! `SMOKE_SAMPLES` rounds, because CI gates ratios of these numbers and
+//! a single ~100 µs sample is at the mercy of one scheduler hiccup).
 //!
 //! Results are also appended to the machine-readable `BENCH_arch.json`
 //! at the workspace root (see `benches/json.rs`) so the perf trajectory
@@ -25,13 +29,14 @@
 mod json;
 
 use std::hint::black_box;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use tf_arch::Hart;
 use tf_riscv::{BranchOffset, Gpr, Instruction, InstructionLibrary, LibraryConfig, Opcode};
 
 const MEM_SIZE: u64 = 1 << 20;
 const SAMPLES: usize = 15;
+const SMOKE_SAMPLES: usize = 7;
 const WARMUP: usize = 3;
 
 fn x(i: u8) -> Gpr {
@@ -68,11 +73,15 @@ fn chaos_program(len: usize) -> Vec<Instruction> {
     program
 }
 
-/// Run `workload` once per sample and report median/min/max ns per step.
-/// Returns the median for the JSON emission.
-fn bench(name: &str, program: &[Instruction], max_steps: u64, samples: usize) -> f64 {
+/// A timed workload: each call runs it once and returns its mean cost
+/// per unit (ns per step or per decoded word).
+type Sampler<'a> = Box<dyn FnMut() -> f64 + 'a>;
+
+/// Re-run `program` from reset on one hart per sample, `max_steps` at
+/// most, and time it in ns per executed step.
+fn run_sampler(program: &[Instruction], max_steps: u64) -> Sampler<'_> {
     let mut hart = Hart::new(MEM_SIZE);
-    let mut sample = || -> (Duration, u64) {
+    Box::new(move || {
         hart.reset();
         hart.load_program(0, program).expect("program fits");
         let start = Instant::now();
@@ -85,36 +94,18 @@ fn bench(name: &str, program: &[Instruction], max_steps: u64, samples: usize) ->
             .csrs()
             .read(tf_riscv::csr::MCYCLE)
             .expect("mcycle exists");
-        (elapsed, steps)
-    };
-    for _ in 0..WARMUP.min(samples) {
-        sample();
-    }
-    let mut per_step: Vec<f64> = (0..samples)
-        .map(|_| {
-            let (elapsed, steps) = sample();
-            elapsed.as_nanos() as f64 / steps as f64
-        })
-        .collect();
-    per_step.sort_by(f64::total_cmp);
-    let median = per_step[samples / 2];
-    println!(
-        "{name:<8} {median:8.1} ns/step  ({:.1} Msteps/s; min {:.1}, max {:.1} over {samples} samples)",
-        1000.0 / median,
-        per_step[0],
-        per_step[samples - 1],
-    );
-    median
+        elapsed.as_nanos() as f64 / steps as f64
+    })
 }
 
-/// Decode every word of `program` `passes` times per sample and report
-/// the median mean ns per word.
-fn bench_decode(program: &[Instruction], passes: usize, samples: usize) -> f64 {
+/// Decode every word of `program` `passes` times per sample and time it
+/// in mean ns per word.
+fn decode_sampler(program: &[Instruction], passes: usize) -> Sampler<'static> {
     let words: Vec<u32> = program
         .iter()
         .map(|insn| insn.encode().expect("library instructions encode"))
         .collect();
-    let sample = || -> f64 {
+    Box::new(move || {
         let start = Instant::now();
         for _ in 0..passes {
             for &word in &words {
@@ -122,43 +113,72 @@ fn bench_decode(program: &[Instruction], passes: usize, samples: usize) -> f64 {
             }
         }
         start.elapsed().as_nanos() as f64 / (passes * words.len()) as f64
-    };
-    for _ in 0..WARMUP.min(samples) {
-        sample();
+    })
+}
+
+/// Time every workload in interleaved rounds — warm-up rounds, then
+/// `samples` rounds each taking one sample of every workload in turn —
+/// and report each workload's median/min/max. Interleaving exposes all
+/// workloads to the same host slowdowns, so the ratios CI gates between
+/// them stay stable even when the absolute numbers drift. Returns the
+/// medians in workload order.
+fn bench(workloads: &mut [(&str, &str, Sampler<'_>)], samples: usize) -> Vec<f64> {
+    let warmup = WARMUP.min(samples);
+    let mut timings = vec![Vec::with_capacity(samples); workloads.len()];
+    for round in 0..warmup + samples {
+        for ((_, _, sample), timing) in workloads.iter_mut().zip(&mut timings) {
+            let ns = sample();
+            if round >= warmup {
+                timing.push(ns);
+            }
+        }
     }
-    let mut per_word: Vec<f64> = (0..samples).map(|_| sample()).collect();
-    per_word.sort_by(f64::total_cmp);
-    let median = per_word[samples / 2];
-    println!(
-        "{:<8} {median:8.1} ns/word  (min {:.1}, max {:.1} over {samples} samples of {} words)",
-        "decode",
-        per_word[0],
-        per_word[samples - 1],
-        words.len(),
-    );
-    median
+    workloads
+        .iter()
+        .zip(&mut timings)
+        .map(|((name, unit, _), timing)| {
+            timing.sort_by(f64::total_cmp);
+            let median = timing[samples / 2];
+            println!(
+                "{name:<8} {median:8.1} ns/{unit}  (min {:.1}, max {:.1} over {samples} samples)",
+                timing[0],
+                timing[samples - 1],
+            );
+            median
+        })
+        .collect()
 }
 
 fn main() {
     // `cargo bench` passes `--bench` (and test-filter args); none apply
     // to this hand-rolled harness.
     let smoke = json::smoke();
-    let samples = if smoke { 1 } else { SAMPLES };
+    let samples = if smoke { SMOKE_SAMPLES } else { SAMPLES };
     let (fib_steps, chaos_steps) = if smoke {
         (5_000, 5_000)
     } else {
         (200_000, 100_000)
     };
     println!("tf_arch interpreter throughput (Hart::run over Hart::step)");
-    let fib = bench("fib", &fib_program(5), fib_steps, samples);
+    let fib_insns = fib_program(5);
     let chaos_insns = chaos_program(4_096);
-    let chaos = bench("chaos", &chaos_insns, chaos_steps, samples);
-    let decode = bench_decode(&chaos_insns, if smoke { 10 } else { 50 }, samples);
+    let medians = bench(
+        &mut [
+            ("fib", "step", run_sampler(&fib_insns, fib_steps)),
+            ("chaos", "step", run_sampler(&chaos_insns, chaos_steps)),
+            (
+                "decode",
+                "word",
+                decode_sampler(&chaos_insns, if smoke { 10 } else { 50 }),
+            ),
+        ],
+        samples,
+    );
     json::update(
         &[
-            ("fib_ns_per_step", fib),
-            ("chaos_ns_per_step", chaos),
-            ("decode_ns_per_word", decode),
+            ("fib_ns_per_step", medians[0]),
+            ("chaos_ns_per_step", medians[1]),
+            ("decode_ns_per_word", medians[2]),
         ],
         &[],
     );

@@ -250,9 +250,9 @@ pub trait Dut {
     /// since reset — the path-sensitive companion of [`Dut::digest`]
     /// that batched sampling folds into every sample (see
     /// [`fold_sample`]). The default returns a constant: correct for
-    /// any backend, but every window diffed against a history-bearing
+    /// any backend, but every batch diffed against a history-bearing
     /// reference then mismatches and is replayed step by step, costing
-    /// the windowed speedup. Backends that want the speedup implement
+    /// the batched speedup. Backends that want the speedup implement
     /// it as a running fold over their writes, as [`Hart`] does.
     fn write_history(&self) -> u64 {
         0
@@ -265,10 +265,26 @@ pub trait Dut {
     /// Stop tracing and take the recorded trace.
     fn take_trace(&mut self) -> Option<ExecutionTrace>;
 
+    /// Start tracing for [`Dut::take_trace_digest`] only, replacing any
+    /// previous trace. Backends that can fold each step into the trace
+    /// digest as it executes override this pair to skip storing a trace
+    /// that would only be hashed ([`Hart`] does); the default records a
+    /// full trace via [`Dut::enable_tracing`].
+    fn enable_trace_digest(&mut self) {
+        self.enable_tracing();
+    }
+
+    /// Stop tracing and take the [`ExecutionTrace::digest`] of the steps
+    /// executed since tracing was armed. The default takes the full
+    /// trace and hashes it; an override must return the same value.
+    fn take_trace_digest(&mut self) -> Option<u64> {
+        self.take_trace().map(|trace| trace.digest())
+    }
+
     /// The pc the next fetch will use. Feeds the [`fold_pc_pair`]
     /// path-coverage fold of batched runs. The default returns a
     /// constant: correct for any backend, but its `pc_pairs` fold then
-    /// degenerates and every window diffed against a pc-bearing
+    /// degenerates and every batch diffed against a pc-bearing
     /// reference is replayed step by step — the same graceful
     /// degradation as the [`Dut::write_history`] default.
     fn pc(&self) -> u64 {
@@ -402,6 +418,14 @@ impl Dut for Hart {
 
     fn take_trace(&mut self) -> Option<ExecutionTrace> {
         Hart::take_trace(self)
+    }
+
+    fn enable_trace_digest(&mut self) {
+        Hart::enable_trace_digest(self);
+    }
+
+    fn take_trace_digest(&mut self) -> Option<u64> {
+        Hart::take_trace_digest(self)
     }
 
     fn pc(&self) -> u64 {

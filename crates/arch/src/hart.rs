@@ -7,7 +7,7 @@ use std::sync::Arc;
 use tf_riscv::csr::{self, CsrAddr};
 use tf_riscv::{Format, Fpr, Gpr, Instruction, Opcode, RoundingMode};
 
-use crate::digest::WideFnv;
+use crate::digest::{Fnv, WideFnv};
 use crate::dut::{
     fold_op_classes, fold_pc_pair, fold_sample, op_class, BatchOutcome, Dut, OP_CLASS_BUCKETS,
     PC_PAIRS_SEED,
@@ -15,7 +15,7 @@ use crate::dut::{
 use crate::fpu::{self, dp, sp};
 use crate::mem::Memory;
 use crate::state::ArchState;
-use crate::trace::{ExecutionTrace, StepOutcome, TraceEntry};
+use crate::trace::{ExecutionTrace, StepOutcome, TraceEntry, TraceSink};
 use crate::trap::Trap;
 
 /// Execution routine of one predecoded instruction. Non-capturing, so
@@ -120,7 +120,7 @@ pub struct Hart {
     state: ArchState,
     mem: Memory,
     reservation: Option<u64>,
-    trace: Option<ExecutionTrace>,
+    trace: TraceSink,
     // Pre-decoded program cache filled by `load_program`: entry `i`
     // holds the word stored at `icache_base + 4*i` and its decode
     // (`None`: the word does not decode), so neither the block builder
@@ -146,7 +146,7 @@ impl Hart {
             state: ArchState::new(),
             mem: Memory::new(mem_size),
             reservation: None,
-            trace: None,
+            trace: TraceSink::Off,
             icache_base: 0,
             icache: Vec::new(),
             blocks: Vec::new(),
@@ -154,8 +154,8 @@ impl Hart {
     }
 
     /// Return to the reset state: registers, CSRs, memory and the LR/SC
-    /// reservation are cleared and any recorded trace is discarded. The
-    /// memory size is kept.
+    /// reservation are cleared and tracing is disarmed, discarding any
+    /// recorded trace or trace digest. The memory size is kept.
     pub fn reset(&mut self) {
         *self = Hart::new(self.mem.size());
     }
@@ -182,21 +182,40 @@ impl Hart {
         &mut self.mem
     }
 
-    /// Start recording an [`ExecutionTrace`] (replacing any previous one).
+    /// Start recording an [`ExecutionTrace`], replacing any previous
+    /// trace or armed trace digest.
     pub fn enable_tracing(&mut self) {
-        self.trace = Some(ExecutionTrace::new());
+        self.trace = TraceSink::Full(ExecutionTrace::new());
     }
 
-    /// Stop tracing and take the recorded trace.
+    /// Stop tracing and take the recorded trace. `None` when no full
+    /// trace was being recorded (including after
+    /// [`Hart::enable_trace_digest`]).
     pub fn take_trace(&mut self) -> Option<ExecutionTrace> {
-        self.trace.take()
+        self.trace.take_trace()
+    }
+
+    /// Start folding every executed step straight into the trace digest,
+    /// replacing any previous trace or digest: the digest
+    /// [`Hart::take_trace_digest`] returns equals
+    /// [`ExecutionTrace::digest`] of what [`Hart::enable_tracing`] would
+    /// have recorded, without storing the trace.
+    pub fn enable_trace_digest(&mut self) {
+        self.trace = TraceSink::Digest(Fnv::new());
+    }
+
+    /// Stop tracing and take the trace digest of the steps executed
+    /// since tracing was armed in either mode. `None` when tracing is
+    /// off.
+    pub fn take_trace_digest(&mut self) -> Option<u64> {
+        self.trace.take_digest()
     }
 
     /// The most recently recorded trace entry, for in-crate mutant
     /// implementations that patch the defined-register value after
     /// injecting a bug into the retired result.
     pub(crate) fn trace_last_mut(&mut self) -> Option<&mut TraceEntry> {
-        self.trace.as_mut().and_then(ExecutionTrace::last_mut)
+        self.trace.last_mut()
     }
 
     /// Encode `program` and store it contiguously starting at `base`.
@@ -281,25 +300,17 @@ impl Hart {
                 StepOutcome::Trapped(trap)
             }
         };
-        if self.trace.is_some() {
+        if self.trace.is_on() {
             let def = match outcome {
-                StepOutcome::Retired(insn) => insn.operands().defs().map(|reg| {
-                    let value = match reg {
-                        tf_riscv::Reg::X(g) => self.state.x(g),
-                        tf_riscv::Reg::F(f) => self.state.f_bits(f),
-                    };
-                    (reg, value)
-                }),
+                StepOutcome::Retired(insn) => self.traced_def(&insn),
                 StepOutcome::Trapped(_) => None,
             };
-            if let Some(trace) = &mut self.trace {
-                trace.push(TraceEntry {
-                    pc,
-                    word,
-                    outcome,
-                    def,
-                });
-            }
+            self.trace.record(TraceEntry {
+                pc,
+                word,
+                outcome,
+                def,
+            });
         }
         outcome
     }
@@ -425,39 +436,41 @@ impl Hart {
         (!block.ops.is_empty()).then_some(&block.ops[..])
     }
 
-    /// Record a retired micro-op into the trace, exactly as
-    /// [`Hart::step`] would have.
-    #[cold]
-    fn trace_retired(&mut self, op: &MicroOp) {
-        let def = op.insn.operands().defs().map(|reg| {
+    /// The register a retired `insn` defined, with its current value —
+    /// a trace entry's [`TraceEntry::def`].
+    fn traced_def(&self, insn: &Instruction) -> Option<(tf_riscv::Reg, u64)> {
+        insn.operands().defs().map(|reg| {
             let value = match reg {
                 tf_riscv::Reg::X(g) => self.state.x(g),
                 tf_riscv::Reg::F(f) => self.state.f_bits(f),
             };
             (reg, value)
+        })
+    }
+
+    /// Record a retired micro-op into the trace, exactly as
+    /// [`Hart::step`] would have.
+    #[cold]
+    fn trace_retired(&mut self, op: &MicroOp) {
+        let def = self.traced_def(&op.insn);
+        self.trace.record(TraceEntry {
+            pc: op.pc,
+            word: Some(op.word),
+            outcome: StepOutcome::Retired(op.insn),
+            def,
         });
-        if let Some(trace) = &mut self.trace {
-            trace.push(TraceEntry {
-                pc: op.pc,
-                word: Some(op.word),
-                outcome: StepOutcome::Retired(op.insn),
-                def,
-            });
-        }
     }
 
     /// Record a trapped micro-op into the trace, exactly as
     /// [`Hart::step`] would have.
     #[cold]
     fn trace_trapped(&mut self, op: &MicroOp, trap: Trap) {
-        if let Some(trace) = &mut self.trace {
-            trace.push(TraceEntry {
-                pc: op.pc,
-                word: Some(op.word),
-                outcome: StepOutcome::Trapped(trap),
-                def: None,
-            });
-        }
+        self.trace.record(TraceEntry {
+            pc: op.pc,
+            word: Some(op.word),
+            outcome: StepOutcome::Trapped(trap),
+            def: None,
+        });
     }
 
     /// Native batched run: the [`Dut::run`] override for [`Hart`].
@@ -556,7 +569,7 @@ impl Hart {
                         // The major-opcode field of the fetched word is
                         // what `op_class` computes by re-encoding.
                         classes[((op.word >> 2) & 0x1F) as usize] += 1;
-                        if self.trace.is_some() {
+                        if self.trace.is_on() {
                             self.trace_retired(op);
                         }
                     }
@@ -570,7 +583,7 @@ impl Hart {
                         steps += 1;
                         pc_pairs = fold_pc_pair(pc_pairs, op.pc, handler);
                         trap_causes |= 1 << (trap.cause().code() & 63);
-                        if self.trace.is_some() {
+                        if self.trace.is_on() {
                             self.trace_trapped(op, trap);
                         }
                         match trap {

@@ -63,14 +63,6 @@ impl ExecutionTrace {
         Self { entries }
     }
 
-    pub(crate) fn push(&mut self, entry: TraceEntry) {
-        self.entries.push(entry);
-    }
-
-    pub(crate) fn last_mut(&mut self) -> Option<&mut TraceEntry> {
-        self.entries.last_mut()
-    }
-
     /// The recorded steps, oldest first.
     #[must_use]
     pub fn entries(&self) -> &[TraceEntry] {
@@ -105,21 +97,86 @@ impl ExecutionTrace {
     pub fn digest(&self) -> u64 {
         let mut fnv = Fnv::new();
         for entry in &self.entries {
-            fnv.write_u64(entry.pc);
-            fnv.write_u64(entry.word.map_or(u64::MAX, u64::from));
-            match entry.outcome {
-                StepOutcome::Retired(_) => fnv.write_u64(0),
-                StepOutcome::Trapped(trap) => {
-                    fnv.write_u64(1 + trap.cause().code());
-                    fnv.write_u64(trap.tval());
-                }
-            }
-            if let Some((reg, value)) = entry.def {
-                fnv.write_u64(u64::from(reg.is_fpr()) << 8 | u64::from(reg.index()));
-                fnv.write_u64(value);
-            }
+            fold_entry(&mut fnv, entry);
         }
         fnv.finish()
+    }
+}
+
+/// Fold one step into a running trace digest — the single definition
+/// both [`ExecutionTrace::digest`] and the streamed digest of
+/// [`TraceSink::Digest`] use, so the two are the same function of the
+/// step sequence.
+fn fold_entry(fnv: &mut Fnv, entry: &TraceEntry) {
+    fnv.write_u64(entry.pc);
+    fnv.write_u64(entry.word.map_or(u64::MAX, u64::from));
+    match entry.outcome {
+        StepOutcome::Retired(_) => fnv.write_u64(0),
+        StepOutcome::Trapped(trap) => {
+            fnv.write_u64(1 + trap.cause().code());
+            fnv.write_u64(trap.tval());
+        }
+    }
+    if let Some((reg, value)) = entry.def {
+        fnv.write_u64(u64::from(reg.is_fpr()) << 8 | u64::from(reg.index()));
+        fnv.write_u64(value);
+    }
+}
+
+/// Where a hart's executed steps go: nowhere, into a full
+/// [`ExecutionTrace`], or folded straight into the trace digest as they
+/// happen — for callers that only want [`ExecutionTrace::digest`] and
+/// would otherwise build a trace just to hash it.
+#[derive(Debug, Clone, Default)]
+pub(crate) enum TraceSink {
+    /// Tracing is off.
+    #[default]
+    Off,
+    /// Every step is recorded.
+    Full(ExecutionTrace),
+    /// Every step is folded into the running trace digest.
+    Digest(Fnv),
+}
+
+impl TraceSink {
+    /// True when steps are being recorded or folded.
+    pub(crate) fn is_on(&self) -> bool {
+        !matches!(self, TraceSink::Off)
+    }
+
+    /// Record one executed step.
+    pub(crate) fn record(&mut self, entry: TraceEntry) {
+        match self {
+            TraceSink::Off => {}
+            TraceSink::Full(trace) => trace.entries.push(entry),
+            TraceSink::Digest(fnv) => fold_entry(fnv, &entry),
+        }
+    }
+
+    /// The most recently recorded entry (full traces only).
+    pub(crate) fn last_mut(&mut self) -> Option<&mut TraceEntry> {
+        match self {
+            TraceSink::Full(trace) => trace.entries.last_mut(),
+            _ => None,
+        }
+    }
+
+    /// Stop tracing and take the full trace, if one was being recorded.
+    pub(crate) fn take_trace(&mut self) -> Option<ExecutionTrace> {
+        match std::mem::take(self) {
+            TraceSink::Full(trace) => Some(trace),
+            _ => None,
+        }
+    }
+
+    /// Stop tracing and take the trace digest of whatever was recorded:
+    /// the streamed fold, or the digest of a full trace.
+    pub(crate) fn take_digest(&mut self) -> Option<u64> {
+        match std::mem::take(self) {
+            TraceSink::Off => None,
+            TraceSink::Full(trace) => Some(trace.digest()),
+            TraceSink::Digest(fnv) => Some(fnv.finish()),
+        }
     }
 }
 
@@ -141,10 +198,8 @@ mod tests {
             outcome: StepOutcome::Trapped(Trap::EnvironmentCall),
             def: None,
         };
-        let mut a = ExecutionTrace::new();
-        a.push(retired);
-        let mut b = ExecutionTrace::new();
-        b.push(trapped);
+        let a = ExecutionTrace::from_entries(vec![retired]);
+        let b = ExecutionTrace::from_entries(vec![trapped]);
         assert_ne!(a.digest(), b.digest());
         assert_eq!(a.retired(), 1);
         assert_eq!(b.retired(), 0);

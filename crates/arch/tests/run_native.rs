@@ -10,6 +10,11 @@
 //! everything except `run`) over generated programs, every bug
 //! scenario, self-modifying code and a sweep of sampling windows, and
 //! require exact equality.
+//!
+//! The same runs also pin the streamed trace digest: both paths, armed
+//! with [`Dut::enable_trace_digest`] instead, must report the
+//! [`ExecutionTrace::digest`] of the trace they record under
+//! [`Dut::enable_tracing`].
 
 use tf_arch::{BugScenario, Dut, ExecutionTrace, Hart, MutantHart, StepOutcome, Trap};
 use tf_riscv::{BranchOffset, Gpr, Instruction, InstructionLibrary, LibraryConfig, Opcode};
@@ -54,10 +59,17 @@ impl<D: Dut> Dut for PerStep<D> {
     fn take_trace(&mut self) -> Option<ExecutionTrace> {
         self.0.take_trace()
     }
+    fn enable_trace_digest(&mut self) {
+        self.0.enable_trace_digest();
+    }
+    fn take_trace_digest(&mut self) -> Option<u64> {
+        self.0.take_trace_digest()
+    }
 }
 
 /// Run `make()`-built devices through the native path and the default
-/// path and assert every observable matches.
+/// path and assert every observable matches — then run both again
+/// streaming the trace digest and assert it equals the recorded trace's.
 fn assert_run_identical<D: Dut>(
     make: &dyn Fn() -> D,
     max_steps: u64,
@@ -93,6 +105,23 @@ fn assert_run_identical<D: Dut>(
         default_trace.digest(),
         "trace digests: {ctx}"
     );
+    let mut native = make();
+    let mut default = PerStep(make());
+    native.enable_trace_digest();
+    default.enable_trace_digest();
+    native.run(max_steps, digest_every);
+    default.run(max_steps, digest_every);
+    for (path, streamed) in [
+        ("native", native.take_trace_digest()),
+        ("default", default.take_trace_digest()),
+    ] {
+        assert_eq!(
+            streamed,
+            Some(native_trace.digest()),
+            "{path} streamed trace digest: {ctx}"
+        );
+    }
+    assert_eq!(native.take_trace_digest(), None, "taking disarms: {ctx}");
 }
 
 fn x(i: u8) -> Gpr {
@@ -126,6 +155,16 @@ fn native_run_matches_default_on_generated_programs() {
         // Final-sample-only mode and a zero-step budget.
         assert_run_identical(&make, 200, 0, &format!("seed {seed}"));
         assert_run_identical(&make, 0, 1, &format!("seed {seed}"));
+        if seed % 3 == 0 {
+            // An undecodable word mid-image: the block engine must hand
+            // that step to the per-step fallback.
+            let corrupt = || {
+                let mut hart = make();
+                hart.mem_mut().store_u32(4 * (seed % 40), 0).unwrap();
+                hart
+            };
+            assert_run_identical(&corrupt, 200, window, &format!("seed {seed}, corrupt"));
+        }
     }
 }
 
@@ -253,4 +292,59 @@ fn loop_back_into_modified_code_rebuilds_the_block() {
     let mut hart = make();
     Dut::run(&mut hart, 100, 0);
     assert_eq!(hart.state().x(x(4)), 11, "second pass must see the patch");
+}
+
+#[test]
+fn reset_and_mode_switches_disarm_the_other_tracing_mode() {
+    let mut program = vec![Instruction::i_type(Opcode::Addi, x(1), x(1), 1).unwrap(); 30];
+    program.push(Instruction::system(Opcode::Ebreak));
+    let fresh = || {
+        let mut hart = Hart::new(MEM);
+        hart.load_program(0, &program).unwrap();
+        hart
+    };
+    // reset() disarms either mode.
+    for digest_only in [false, true] {
+        let mut hart = fresh();
+        if digest_only {
+            hart.enable_trace_digest();
+        } else {
+            hart.enable_tracing();
+        }
+        Dut::run(&mut hart, 10, 0);
+        hart.reset();
+        assert_eq!(hart.take_trace_digest(), None, "digest_only {digest_only}");
+        assert!(hart.take_trace().is_none(), "digest_only {digest_only}");
+    }
+    // The steps after a switch at step 5, as a full trace would hold
+    // them.
+    let mut whole = fresh();
+    whole.enable_tracing();
+    Dut::run(&mut whole, 25, 0);
+    let after_switch =
+        ExecutionTrace::from_entries(whole.take_trace().unwrap().entries()[5..].to_vec());
+
+    // Full -> digest: the full trace is gone, the digest covers only the
+    // steps since the switch.
+    let switched = || {
+        let mut hart = fresh();
+        hart.enable_tracing();
+        Dut::run(&mut hart, 5, 0);
+        hart.enable_trace_digest();
+        Dut::run(&mut hart, 20, 0);
+        hart
+    };
+    assert!(switched().take_trace().is_none());
+    assert_eq!(switched().take_trace_digest(), Some(after_switch.digest()));
+
+    // Digest -> full: the fold is dropped, the trace holds only the
+    // steps since the switch.
+    let mut hart = fresh();
+    hart.enable_trace_digest();
+    Dut::run(&mut hart, 5, 0);
+    hart.enable_tracing();
+    Dut::run(&mut hart, 20, 0);
+    let trace = hart.take_trace().unwrap();
+    assert_eq!(trace.entries(), after_switch.entries());
+    assert_eq!(hart.take_trace_digest(), None, "taking the trace disarmed");
 }

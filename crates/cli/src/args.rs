@@ -18,10 +18,12 @@ FUZZ OPTIONS:
     --seed <N>        campaign seed (default 0)
     --steps <M>       generated-instruction budget (default 10000)
     --len <L>         instructions per program, incl. ebreak (default 32)
-    --window <K>      lockstep window: compare digests every K steps and
-                      replay a window exactly when it mismatches; the
-                      reported divergences are bit-identical at every K
-                      (default 16; 1 compares after every step)
+    --window <K>      lockstep window: 1 compares digests after every
+                      step; any K > 1 runs each program as one batch per
+                      side, compares the final digests and replays the
+                      program step by step when they mismatch; reported
+                      divergences are bit-identical at every K
+                      (default 16)
     --jobs <J>        worker threads; the budget is sharded across
                       seed-disjoint campaigns coordinated around one
                       shared corpus — novel seeds are admitted centrally
@@ -117,7 +119,8 @@ pub struct FuzzArgs {
     pub steps: u64,
     /// Program length.
     pub len: usize,
-    /// Lockstep window: digest-compare cadence in steps.
+    /// Lockstep window: 1 compares after every step, any larger value
+    /// one batch per side.
     pub window: u64,
     /// Worker threads to shard the budget across.
     pub jobs: usize,

@@ -43,10 +43,11 @@ pub struct CampaignConfig {
     pub mem_size: u64,
     /// Load address for generated programs.
     pub base: u64,
-    /// Differential comparison window ([`DiffConfig::window`]): digests
-    /// are compared every this many lockstep steps, with window
-    /// mismatches localised by exact replay. Reported results are
-    /// bit-identical at every window; only throughput changes.
+    /// Differential comparison mode ([`DiffConfig::window`]): `1`
+    /// compares digests after every lockstep step; any `k > 1` runs one
+    /// batch per side, compares its final sample, and localises a
+    /// mismatch by exact replay. Reported results are bit-identical at
+    /// every window; only throughput changes.
     pub window: u64,
     /// Instruction-repository configuration to sample from.
     pub library: LibraryConfig,
@@ -635,7 +636,7 @@ pub struct Campaign {
     engine: DiffEngine,
     rng: SplitMix64,
     // Hot-loop buffers, reused across every run of the campaign: the
-    // current program and the two windowed batch outcomes. Cleared, not
+    // current program and the two batch outcomes. Cleared, not
     // reallocated, once the high-water capacity is reached.
     program_buf: Vec<tf_riscv::Instruction>,
     scratch: DiffScratch,

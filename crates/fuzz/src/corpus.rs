@@ -207,16 +207,28 @@ impl Corpus {
     /// Draw a seed index by energy-weighted deterministic selection:
     /// each entry weighs [`PowerSchedule::energy`] of its calibration,
     /// and a single RNG draw below the energy total picks the seed by
-    /// subtractive walk. Under [`PowerSchedule::Uniform`] every weight
-    /// is 1, the total is the corpus length, and the draw collapses to
-    /// exactly the historical uniform pick — same single draw from the
-    /// same stream, bit for bit.
+    /// subtractive walk, O(corpus length). Under
+    /// [`PowerSchedule::Uniform`] every weight is 1, so the walk would
+    /// return the draw itself: the pick is that single draw below the
+    /// corpus length, O(1) — exactly the historical uniform pick, same
+    /// draw from the same stream, bit for bit.
     ///
     /// Returns `None` when the corpus is empty.
     pub fn select(&mut self, schedule: PowerSchedule) -> Option<usize> {
         if self.entries.is_empty() {
             return None;
         }
+        Some(if schedule == PowerSchedule::Uniform {
+            self.rng.below(self.entries.len() as u64) as usize
+        } else {
+            self.select_by_walk(schedule)
+        })
+    }
+
+    /// The subtractive energy walk behind [`Corpus::select`]; valid for
+    /// every schedule, so it is also the uniform shortcut's test oracle.
+    /// The corpus must not be empty.
+    fn select_by_walk(&mut self, schedule: PowerSchedule) -> usize {
         let total: u64 = self
             .entries
             .iter()
@@ -226,7 +238,7 @@ impl Corpus {
         for (index, entry) in self.entries.iter().enumerate() {
             let energy = schedule.energy(&entry.calibration);
             if draw < energy {
-                return Some(index);
+                return index;
             }
             draw -= energy;
         }
@@ -416,6 +428,32 @@ mod tests {
         assert!(uniform[0] > 180 && uniform[1] > 180, "{uniform:?}");
         assert!(fast[1] > 490, "fast must favour the hot seed: {fast:?}");
         assert!(fast[0] > 0, "energy floor keeps the weak seed alive");
+    }
+
+    #[test]
+    fn the_uniform_draw_equals_the_energy_walk() {
+        // The O(1) uniform pick must return, draw for draw, the index
+        // the subtractive walk returns when every energy is 1.
+        let mut fast = Corpus::new(9);
+        let mut walk = Corpus::new(9);
+        for i in 0..1_500 {
+            let calibration = SeedCalibration {
+                cost: 1 + i,
+                cov_yield: (i % 5) as u8,
+                spent: i,
+                children: i % 3,
+            };
+            for corpus in [&mut fast, &mut walk] {
+                corpus.add(&[addi(1, 1), ebreak()], i, 0, calibration);
+            }
+        }
+        for draw in 0..10_000 {
+            assert_eq!(
+                fast.select(PowerSchedule::Uniform),
+                Some(walk.select_by_walk(PowerSchedule::Uniform)),
+                "draw {draw}"
+            );
+        }
     }
 
     #[test]

@@ -6,16 +6,17 @@
 //! [`DiffConfig::window`]` == 1` it steps both in lockstep and compares
 //! after every step: outcome first, then the full architectural digests
 //! (registers, CSRs and memory — catching divergences trace entries
-//! cannot see, like a dropped `fflags` update). With a window `k > 1` it
-//! instead runs each side as one batched [`Dut::run`] that samples the
-//! digest every `k` steps, and compares the two [`BatchOutcome`]s — the
-//! digest cost amortises by `k`. When the batches disagree the engine
-//! replays the run exactly (execution is deterministic, so the replay
-//! bisects the offending window down to its first diverging step), which
-//! makes the reported [`Divergence`] bit-identical to what `window == 1`
-//! reports. The divergence carries both sides' [`TraceEntry`]s, which is
-//! the paper's bug-scenario localisation: not just *that* the device
-//! differs, but the exact instruction where it went wrong.
+//! cannot see, like a dropped `fflags` update). With any window `k > 1`
+//! it instead runs each side as one batched [`Dut::run`] that takes a
+//! single digest sample, after the final step, and compares the two
+//! [`BatchOutcome`]s — one digest per side per program. When the batches
+//! disagree the engine replays the run exactly (execution is
+//! deterministic, so the step-by-step replay finds the first diverging
+//! step), which makes the reported [`Divergence`] bit-identical to what
+//! `window == 1` reports. The divergence carries both sides'
+//! [`TraceEntry`]s, which is the paper's bug-scenario localisation: not
+//! just *that* the device differs, but the exact instruction where it
+//! went wrong.
 //!
 //! The reference's [`Dut::run`] is the hart's native predecoded-block
 //! engine (see `tf_arch::Hart`), which is proven bit-identical to the
@@ -24,16 +25,20 @@
 //! verdict and every replayed trace regardless of which engine produced
 //! them.
 //!
-//! Windowed detection loses no sensitivity: each sample folds not just
+//! Batched detection loses no sensitivity: the sample folds not just
 //! the state digest but the device's cumulative *write history*
 //! ([`tf_arch::Dut::write_history`], via [`tf_arch::fold_sample`]), and
 //! a fold over the write sequence never reconverges once the two sides
 //! first wrote differently — so even a divergence whose architectural
-//! side effects cancel out again before the next sample point still
-//! flips every later sample and triggers the exact replay. Backends
-//! that leave `write_history` at its constant default stay correct
-//! too, at a cost: every window against the history-bearing reference
-//! mismatches and replays, degrading to `window = 1` throughput.
+//! side effects cancel out again before the run ends still flips the
+//! final sample and triggers the exact replay. (The same holds for the
+//! cumulative pc-pair fold, so a control-flow divergence flips it too.)
+//! Interior samples would therefore only ever mismatch when the final
+//! one does, and since any mismatch replays the whole program they
+//! localise nothing: the batched path takes none. Backends that leave
+//! `write_history` at its constant default stay correct too, at a cost:
+//! every batch against the history-bearing reference mismatches and
+//! replays, degrading to `window = 1` throughput.
 
 use tf_arch::digest::Fnv;
 use tf_arch::{
@@ -42,8 +47,9 @@ use tf_arch::{
 };
 use tf_riscv::Instruction;
 
-/// Default comparison window: digests are sampled and compared every
-/// this many steps (see [`DiffConfig::window`]).
+/// Default comparison window (see [`DiffConfig::window`]). Any value
+/// above 1 selects the batched path — one final digest sample per side
+/// per program — so the exact number does not change what runs.
 pub const DEFAULT_WINDOW: u64 = 16;
 
 /// A rejected configuration, explaining which invariant failed.
@@ -69,12 +75,11 @@ pub struct DiffConfig {
     pub base: u64,
     /// Per-run step budget.
     pub max_steps: u64,
-    /// Steps between digest comparisons. `1` compares after every step
-    /// (the exhaustive pre-windowing behaviour, bit for bit); larger
-    /// windows amortise digest cost and localise mismatches by exact
-    /// replay. `max_steps` need not be a multiple: a trailing partial
-    /// window is closed by the unconditional final sample of
-    /// [`Dut::run`]. Must be at least 1.
+    /// Comparison mode. `1` compares after every step (the exhaustive
+    /// pre-windowing behaviour, bit for bit). Any `k > 1` runs each side
+    /// as one batch with a single final digest sample, and localises a
+    /// mismatch by exact replay; every such `k` behaves the same. Must
+    /// be at least 1.
     pub window: u64,
 }
 
@@ -276,10 +281,10 @@ impl DiffEngine {
 
     /// Reset both devices, load `program` into each, and execute both
     /// sides until divergence, program end (`ebreak`/`ecall`) or the
-    /// step budget, comparing digests every [`DiffConfig::window`]
-    /// steps.
+    /// step budget: step by step at [`DiffConfig::window`]` == 1`,
+    /// otherwise as one batch per side compared once at the end.
     ///
-    /// A window mismatch is localised by exact replay: both sides are
+    /// A batch mismatch is localised by exact replay: both sides are
     /// reset and re-run in per-step lockstep, which — execution being a
     /// pure function of the loaded program — reports the same
     /// [`Divergence`], bit for bit, that `window == 1` would have.
@@ -298,7 +303,7 @@ impl DiffEngine {
         self.diff_with(reference, dut, program, &mut scratch)
     }
 
-    /// [`DiffEngine::diff`] with caller-owned batch buffers: the windowed
+    /// [`DiffEngine::diff`] with caller-owned batch buffers: the batched
     /// run fills `scratch` via [`Dut::run_into`] instead of allocating
     /// two fresh [`BatchOutcome`]s, so a campaign's one-batch-per-program
     /// hot loop never reallocates the sample vectors. The verdict is
@@ -320,23 +325,21 @@ impl DiffEngine {
         reference.load(self.config.base, program)?;
         dut.load(self.config.base, program)?;
         if self.config.window > 1 {
-            // Trace the reference only: the trace feeds the coverage key
-            // on agreement, and the replay recollects both sides' traces
-            // on mismatch.
-            reference.enable_tracing();
-            reference.run_into(
-                self.config.max_steps,
-                self.config.window,
-                &mut scratch.reference,
-            );
-            dut.run_into(self.config.max_steps, self.config.window, &mut scratch.dut);
+            // Trace the reference only, and only its digest: the trace
+            // digest is the coverage key on agreement, and the replay
+            // recollects both sides' full traces on mismatch. Each side
+            // takes just its final sample (module docs: interior samples
+            // cannot localise anything the replay does not redo).
+            reference.enable_trace_digest();
+            reference.run_into(self.config.max_steps, 0, &mut scratch.reference);
+            dut.run_into(self.config.max_steps, 0, &mut scratch.dut);
             if let Some(verdict) =
                 self.agree_on_batches(reference, &scratch.reference, &scratch.dut)
             {
                 return Ok(verdict);
             }
-            // Some window disagreed: replay from reset, step by step, to
-            // bisect it down to the exact diverging step.
+            // The batches disagreed: replay from reset, step by step, to
+            // find the exact diverging step.
             reference.reset();
             dut.reset();
             reference.load(self.config.base, program)?;
@@ -345,7 +348,7 @@ impl DiffEngine {
         Ok(self.diff_exact(reference, dut))
     }
 
-    /// The windowed agreement check: equal batches become the verdict
+    /// The batched agreement check: equal batches become the verdict
     /// the exact loop would have produced, a mismatch becomes `None`.
     fn agree_on_batches(
         &self,
@@ -353,11 +356,11 @@ impl DiffEngine {
         ref_batch: &BatchOutcome,
         dut_batch: &BatchOutcome,
     ) -> Option<DiffVerdict> {
+        let trace_digest = reference.take_trace_digest();
         if ref_batch != dut_batch {
-            reference.take_trace();
             return None;
         }
-        let trace_digest = reference.take_trace().map_or(0, |t| t.digest());
+        let trace_digest = trace_digest.unwrap_or(0);
         Some(DiffVerdict::Agree {
             steps: ref_batch.steps,
             exit: ref_batch.exit,
@@ -463,7 +466,7 @@ impl DiffEngine {
         pc_pairs: u64,
         classes: &[u32; OP_CLASS_BUCKETS],
     ) -> DiffVerdict {
-        let trace_digest = reference.take_trace().map_or(0, |t| t.digest());
+        let trace_digest = reference.take_trace_digest().unwrap_or(0);
         dut.take_trace();
         DiffVerdict::Agree {
             steps,
@@ -712,6 +715,26 @@ mod tests {
     #[should_panic(expected = "invalid DiffConfig")]
     fn the_engine_rejects_a_zero_window() {
         let _ = DiffEngine::new(DiffConfig::default().with_window(0));
+    }
+
+    #[test]
+    fn batched_runs_take_one_final_sample_per_side() {
+        // A 100-step program spans several default windows, yet each
+        // side of the batched path samples its digest exactly once.
+        let mut program = vec![Instruction::i_type(Opcode::Addi, x(1), x(1), 1).unwrap(); 99];
+        program.push(Instruction::system(Opcode::Ebreak));
+        let engine = DiffEngine::new(DiffConfig::default());
+        assert!(engine.config().window > 1 && engine.config().max_steps == 128);
+        let mut reference = Hart::new(MEM);
+        let mut dut = Hart::new(MEM);
+        let mut scratch = DiffScratch::default();
+        let verdict = engine
+            .diff_with(&mut reference, &mut dut, &program, &mut scratch)
+            .unwrap();
+        assert!(matches!(verdict, DiffVerdict::Agree { steps: 100, .. }));
+        assert!(scratch.reference.steps > engine.config().window);
+        assert_eq!(scratch.reference.samples.len(), 1);
+        assert_eq!(scratch.dut.samples.len(), 1);
     }
 
     #[test]
