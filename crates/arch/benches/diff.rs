@@ -8,6 +8,9 @@
 //!   a chaos workload, reported as ns per lockstep step (two `step`s and
 //!   two digests per step). This is the number the incremental
 //!   `Memory::digest` / cached `ArchState::digest` work moves.
+//! * **chaos** — a plain `Hart::run` of the same chaos program, sampled
+//!   in the same rounds: the same-process baseline CI divides the
+//!   windowed lockstep cost by.
 //! * **campaign-jobs1 / campaign-jobsN** — whole coordinated campaigns
 //!   (generation, lockstep diffing, coverage, corpus) driven through
 //!   `CampaignDriver`, reported as aggregate steps per wall-clock
@@ -21,10 +24,12 @@
 //! completes-and-emits-valid-JSON check for CI.
 
 mod json;
+mod rounds;
 
 use std::hint::black_box;
 use std::time::Instant;
 
+use rounds::{bench, Sampler};
 use tf_arch::Hart;
 use tf_fuzz::{
     CampaignConfig, CampaignDriver, DiffConfig, DiffEngine, DiffVerdict, DEFAULT_SYNC_EVERY,
@@ -44,10 +49,10 @@ fn chaos_program(len: usize) -> Vec<Instruction> {
     program
 }
 
-/// Median ns per lockstep step of reference-vs-reference diffing at the
-/// given window. Window 1 is the exhaustive per-step loop; the default
-/// window is the batched path campaigns actually run.
-fn bench_diff(samples: usize, max_steps: u64, window: u64) -> f64 {
+/// Reference-vs-reference diffing of the chaos program at the given
+/// window, in ns per lockstep step. Window 1 is the exhaustive per-step
+/// loop; the default window is the batched path campaigns actually run.
+fn diff_sampler(max_steps: u64, window: u64) -> Sampler<'static> {
     let program = chaos_program(2_048);
     let engine = DiffEngine::new(
         DiffConfig::default()
@@ -56,7 +61,7 @@ fn bench_diff(samples: usize, max_steps: u64, window: u64) -> f64 {
     );
     let mut reference = Hart::new(MEM_SIZE);
     let mut dut = Hart::new(MEM_SIZE);
-    let mut run_once = || {
+    Box::new(move || {
         let start = Instant::now();
         let verdict = engine
             .diff(&mut reference, &mut dut, &program)
@@ -66,18 +71,29 @@ fn bench_diff(samples: usize, max_steps: u64, window: u64) -> f64 {
             panic!("reference diverged from itself");
         };
         elapsed.as_nanos() as f64 / steps as f64
-    };
-    run_once(); // warm-up
-    let mut per_step: Vec<f64> = (0..samples).map(|_| run_once()).collect();
-    per_step.sort_by(f64::total_cmp);
-    let median = per_step[per_step.len() / 2];
-    println!(
-        "diff-w{window:<3} {median:8.1} ns/lockstep-step  (min {:.1}, max {:.1} over {} samples)",
-        per_step[0],
-        per_step[per_step.len() - 1],
-        per_step.len(),
-    );
-    median
+    })
+}
+
+/// A plain `Hart::run` of the same chaos program from reset, in ns per
+/// step: the single-side execution cost the lockstep numbers divide by.
+/// Timed in this process, alongside them, because chaos step cost moves
+/// from one bench process to the next.
+fn chaos_sampler(max_steps: u64) -> Sampler<'static> {
+    let program = chaos_program(2_048);
+    let mut hart = Hart::new(MEM_SIZE);
+    Box::new(move || {
+        hart.reset();
+        hart.load_program(0, &program).expect("program fits");
+        let start = Instant::now();
+        black_box(hart.run(max_steps));
+        let elapsed = start.elapsed();
+        let steps = hart
+            .state()
+            .csrs()
+            .read(tf_riscv::csr::MCYCLE)
+            .expect("mcycle exists");
+        elapsed.as_nanos() as f64 / steps as f64
+    })
 }
 
 /// Median ns per `Hart::digest` call on a hart with `pages` resident
@@ -140,19 +156,29 @@ fn bench_campaign(jobs: usize, budget: u64, sync_every: u64) -> f64 {
 
 fn main() {
     let smoke = json::smoke();
-    // Smoke keeps the sample count and campaign budget small but the
-    // lockstep step budget full-size: per-run reset/load overhead (~1 ms
-    // for a 1 MiB hart) would otherwise swamp ns-per-step and make the
-    // CI regression ratio meaningless.
+    // Smoke keeps the campaign budget small but the lockstep step budget
+    // full-size: per-run reset/load overhead (~1 ms for a 1 MiB hart)
+    // would otherwise swamp ns-per-step and make the CI regression ratio
+    // meaningless. It still takes 7 interleaved rounds (~0.4 s): host
+    // speed moves in phases of seconds, and the median of 3 rounds that
+    // straddle a phase change can pair a fast chaos with a slow
+    // lockstep.
     let (samples, max_steps, budget) = if smoke {
-        (3, 100_000, 2_000)
+        (7, 100_000, 2_000)
     } else {
         (15, 100_000, 200_000)
     };
     let iters = if smoke { 10 } else { 2_000 };
     println!("tf_arch lockstep differential throughput (DiffEngine over Dut)");
-    let diff = bench_diff(samples, max_steps, 1);
-    let windowed = bench_diff(samples, max_steps, DEFAULT_WINDOW);
+    let medians = bench(
+        &mut [
+            ("diff-w1", "step", diff_sampler(max_steps, 1)),
+            ("diff-w16", "step", diff_sampler(max_steps, DEFAULT_WINDOW)),
+            ("chaos", "step", chaos_sampler(max_steps)),
+        ],
+        samples,
+    );
+    let (diff, windowed, chaos) = (medians[0], medians[1], medians[2]);
     let (digest_small, _) = bench_digest_resident(8, iters);
     let (digest_large, rescan_large) = bench_digest_resident(512, iters);
     let jobs1 = bench_campaign(1, budget, DEFAULT_SYNC_EVERY);
@@ -162,6 +188,9 @@ fn main() {
         // The batched path campaigns run by default (any window > 1:
         // one final digest sample per side).
         ("lockstep_windowed", windowed),
+        // Same-process chaos baseline: CI gates lockstep_windowed
+        // against it rather than against the `step` bench's chaos.
+        ("diff_chaos_ns_per_step", chaos),
         ("digest_ns_resident8", digest_small),
         ("digest_ns_resident512", digest_large),
         ("digest_rescan_ns_resident512", rescan_large),

@@ -27,17 +27,18 @@
 //! is tracked across PRs.
 
 mod json;
+mod rounds;
 
 use std::hint::black_box;
 use std::time::Instant;
 
+use rounds::{bench, Sampler};
 use tf_arch::Hart;
 use tf_riscv::{BranchOffset, Gpr, Instruction, InstructionLibrary, LibraryConfig, Opcode};
 
 const MEM_SIZE: u64 = 1 << 20;
 const SAMPLES: usize = 15;
 const SMOKE_SAMPLES: usize = 7;
-const WARMUP: usize = 3;
 
 fn x(i: u8) -> Gpr {
     Gpr::new(i).unwrap()
@@ -72,10 +73,6 @@ fn chaos_program(len: usize) -> Vec<Instruction> {
     program.push(Instruction::system(Opcode::Ebreak));
     program
 }
-
-/// A timed workload: each call runs it once and returns its mean cost
-/// per unit (ns per step or per decoded word).
-type Sampler<'a> = Box<dyn FnMut() -> f64 + 'a>;
 
 /// Re-run `program` from reset on one hart per sample, `max_steps` at
 /// most, and time it in ns per executed step.
@@ -114,39 +111,6 @@ fn decode_sampler(program: &[Instruction], passes: usize) -> Sampler<'static> {
         }
         start.elapsed().as_nanos() as f64 / (passes * words.len()) as f64
     })
-}
-
-/// Time every workload in interleaved rounds — warm-up rounds, then
-/// `samples` rounds each taking one sample of every workload in turn —
-/// and report each workload's median/min/max. Interleaving exposes all
-/// workloads to the same host slowdowns, so the ratios CI gates between
-/// them stay stable even when the absolute numbers drift. Returns the
-/// medians in workload order.
-fn bench(workloads: &mut [(&str, &str, Sampler<'_>)], samples: usize) -> Vec<f64> {
-    let warmup = WARMUP.min(samples);
-    let mut timings = vec![Vec::with_capacity(samples); workloads.len()];
-    for round in 0..warmup + samples {
-        for ((_, _, sample), timing) in workloads.iter_mut().zip(&mut timings) {
-            let ns = sample();
-            if round >= warmup {
-                timing.push(ns);
-            }
-        }
-    }
-    workloads
-        .iter()
-        .zip(&mut timings)
-        .map(|((name, unit, _), timing)| {
-            timing.sort_by(f64::total_cmp);
-            let median = timing[samples / 2];
-            println!(
-                "{name:<8} {median:8.1} ns/{unit}  (min {:.1}, max {:.1} over {samples} samples)",
-                timing[0],
-                timing[samples - 1],
-            );
-            median
-        })
-        .collect()
 }
 
 fn main() {

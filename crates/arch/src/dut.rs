@@ -432,7 +432,7 @@ impl Dut for Hart {
         self.state().pc()
     }
 
-    /// Native batched run over predecoded basic blocks — bit-identical
+    /// Native batched run over the predecoded program table — bit-identical
     /// to the default trait implementation (the property test
     /// `tests/run_native.rs` proves it), but without the per-step trait
     /// dispatch, outcome construction and bookkeeping in the inner loop.

@@ -1,11 +1,16 @@
 //! The hart: fetch, decode, execute — one instruction per [`Hart::step`],
-//! or one predecoded basic block per inner iteration of the native
-//! batched [`Hart::run_batch_into`].
-
-use std::sync::Arc;
+//! or one predecoded table entry per step of the native batched
+//! [`Hart::run_batch_into`].
+//!
+//! [`Hart::load_program`] decodes every loaded word once into a program
+//! table whose entries carry the resolved handler. Both paths execute
+//! through those handlers; a hart built with a planted bug
+//! ([`MutantHart`](crate::MutantHart)) resolves the affected opcodes to
+//! the scenario's handler overlay instead, so the golden hart and every
+//! mutant run the same engine.
 
 use tf_riscv::csr::{self, CsrAddr};
-use tf_riscv::{Format, Fpr, Gpr, Instruction, Opcode, RoundingMode};
+use tf_riscv::{Fpr, Gpr, Instruction, Opcode, RoundingMode};
 
 use crate::digest::{Fnv, WideFnv};
 use crate::dut::{
@@ -14,69 +19,24 @@ use crate::dut::{
 };
 use crate::fpu::{self, dp, sp};
 use crate::mem::Memory;
+use crate::mutant::BugScenario;
 use crate::state::ArchState;
 use crate::trace::{ExecutionTrace, StepOutcome, TraceEntry, TraceSink};
 use crate::trap::Trap;
 
 /// Execution routine of one predecoded instruction. Non-capturing, so
-/// every handler is a plain `fn` pointer and a block walk is a
+/// every handler is a plain `fn` pointer and a table walk is a
 /// direct-threaded dispatch loop with no opcode re-matching.
-type Handler = fn(&mut Hart, &MicroOp) -> Result<(), Trap>;
+pub(crate) type Handler = fn(&mut Hart, &MicroOp) -> Result<(), Trap>;
 
-/// One pre-resolved instruction of a predecoded basic block: the decoded
-/// form, its fetch address and raw word (the `(pc, word)` validation
-/// key), and the selected handler.
+/// One pre-resolved instruction: the decoded form, its fetch address
+/// and raw word, and the selected handler.
 #[derive(Debug, Clone, Copy)]
-struct MicroOp {
-    insn: Instruction,
-    pc: u64,
-    word: u32,
-    handler: Handler,
-    /// Whether the op can write memory (stores and atomics). Only such
-    /// ops can move the code generation, so the block walk checks for
-    /// in-block self-modification after these alone.
-    stores: bool,
-}
-
-/// A cached straight-line block starting at some pc. Valid while the
-/// memory code-range generation still equals `gen`; on a generation
-/// mismatch the per-word store stamps ([`Memory::code_range_unchanged`])
-/// prove the block's words intact in one L1 scan, and the block is
-/// rebuilt only when one of its words was actually stored to. An empty
-/// `ops` caches a *failed* build (the word at the block's pc does not
-/// decode), so repeated execution there skips straight to the per-step
-/// path, which raises the illegal-instruction trap from the decode cache
-/// without decoding again.
-#[derive(Debug, Clone)]
-struct Block {
-    gen: u64,
-    ops: Arc<[MicroOp]>,
-}
-
-/// Longest straight-line block predecoded in one go. Bounds the work a
-/// single build or re-validation can do; block-spanning straight-line
-/// code simply continues in the next cached block.
-const BLOCK_CAP: usize = 64;
-
-/// True for opcodes that end a basic block: anything after them in
-/// memory order is not necessarily the next instruction executed.
-/// Branches and jumps redirect control; `ecall`/`ebreak` end the run or
-/// vector to the trap handler. CSR accesses stay in-block — they are
-/// straight-line in this machine-mode-only model.
-fn ends_block(op: Opcode) -> bool {
-    matches!(
-        op,
-        Opcode::Beq
-            | Opcode::Bne
-            | Opcode::Blt
-            | Opcode::Bge
-            | Opcode::Bltu
-            | Opcode::Bgeu
-            | Opcode::Jal
-            | Opcode::Jalr
-            | Opcode::Ecall
-            | Opcode::Ebreak
-    )
+pub(crate) struct MicroOp {
+    pub(crate) insn: Instruction,
+    pub(crate) pc: u64,
+    pub(crate) word: u32,
+    pub(crate) handler: Handler,
 }
 
 /// Why [`Hart::run`] returned.
@@ -121,21 +81,20 @@ pub struct Hart {
     mem: Memory,
     reservation: Option<u64>,
     trace: TraceSink,
-    // Pre-decoded program cache filled by `load_program`: entry `i`
-    // holds the word stored at `icache_base + 4*i` and its decode
-    // (`None`: the word does not decode), so neither the block builder
-    // nor the per-step fetch path decodes a loaded word twice. Every hit
-    // is validated against the word actually loaded from memory, which
-    // keeps self-modifying programs architecturally exact (a stale
-    // entry simply decodes the fresh word).
-    icache_base: u64,
-    icache: Vec<(u32, Option<Instruction>)>,
-    // Predecoded-block cache, indexed like the icache: entry `i` caches
-    // the basic block *starting at* `icache_base + 4*i`. Blocks validate
-    // against the memory code-range generation (see
-    // [`Memory::code_generation`]); pcs outside the loaded program never
-    // get blocks and always take the exact per-step path.
-    blocks: Vec<Option<Block>>,
+    // Program table filled by `load_program`: entry `i` holds the word
+    // stored at `table_base + 4*i` and its micro-op (`None`: the word
+    // does not decode), so no loaded word is decoded twice. The table
+    // is trusted while the memory code generation still equals
+    // `table_gen`; after a store into the image each entry's word is
+    // checked against memory before use, which keeps self-modifying
+    // programs architecturally exact (a stale entry takes the per-step
+    // path, which decodes the fresh word).
+    table_base: u64,
+    table_gen: u64,
+    table: Vec<(u32, Option<MicroOp>)>,
+    // The planted bug, if any: opcodes it affects resolve to the
+    // scenario's handler overlay (see `Hart::micro_op`).
+    bug: Option<BugScenario>,
 }
 
 impl Hart {
@@ -147,17 +106,31 @@ impl Hart {
             mem: Memory::new(mem_size),
             reservation: None,
             trace: TraceSink::Off,
-            icache_base: 0,
-            icache: Vec::new(),
-            blocks: Vec::new(),
+            table_base: 0,
+            table_gen: 0,
+            table: Vec::new(),
+            bug: None,
+        }
+    }
+
+    /// A hart that executes with `bug` planted (the engine behind
+    /// [`MutantHart`](crate::MutantHart)).
+    pub(crate) fn with_bug(mem_size: u64, bug: BugScenario) -> Self {
+        Hart {
+            bug: Some(bug),
+            ..Hart::new(mem_size)
         }
     }
 
     /// Return to the reset state: registers, CSRs, memory and the LR/SC
     /// reservation are cleared and tracing is disarmed, discarding any
-    /// recorded trace or trace digest. The memory size is kept.
+    /// recorded trace or trace digest. The memory size (and a planted
+    /// bug) is kept.
     pub fn reset(&mut self) {
-        *self = Hart::new(self.mem.size());
+        *self = Hart {
+            bug: self.bug,
+            ..Hart::new(self.mem.size())
+        };
     }
 
     /// The architectural register state.
@@ -211,14 +184,8 @@ impl Hart {
         self.trace.take_digest()
     }
 
-    /// The most recently recorded trace entry, for in-crate mutant
-    /// implementations that patch the defined-register value after
-    /// injecting a bug into the retired result.
-    pub(crate) fn trace_last_mut(&mut self) -> Option<&mut TraceEntry> {
-        self.trace.last_mut()
-    }
-
-    /// Encode `program` and store it contiguously starting at `base`.
+    /// Encode `program` and store it contiguously starting at `base`,
+    /// then predecode it into the program table the native run walks.
     ///
     /// # Errors
     ///
@@ -228,7 +195,7 @@ impl Hart {
     /// ([`Instruction::encode_lossy`]) of the offending instruction in
     /// the type-invariant-excluded case that it fails to encode.
     pub fn load_program(&mut self, base: u64, program: &[Instruction]) -> Result<(), Trap> {
-        let mut icache = Vec::with_capacity(program.len());
+        let mut table = Vec::with_capacity(program.len());
         for (i, insn) in program.iter().enumerate() {
             let addr = base + 4 * i as u64;
             let word = insn.encode().map_err(|_| Trap::IllegalInstruction {
@@ -237,20 +204,22 @@ impl Hart {
             self.mem
                 .store_u32(addr, word)
                 .ok_or(Trap::StoreFault { addr })?;
-            // Cache the decode of the *stored word* (not the given
-            // instruction) so cached fetches are bit-identical to
-            // uncached ones even if encode/decode ever disagreed.
-            icache.push((word, Instruction::decode(word).ok()));
+            // Predecode the *stored word* (not the given instruction) so
+            // table hits are bit-identical to fresh decodes even if
+            // encode/decode ever disagreed.
+            let op = Instruction::decode(word)
+                .ok()
+                .map(|insn| self.micro_op(insn, addr, word));
+            table.push((word, op));
         }
-        // Only a fully loaded program replaces the cache; fetch-time word
-        // validation keeps any stale range harmless either way.
-        self.icache_base = base;
-        self.icache = icache;
-        // The program image is the code range: stores into it bump the
-        // generation the block cache validates against.
-        self.blocks = vec![None; self.icache.len()];
-        self.mem
-            .set_code_watch(base, base + 4 * self.icache.len() as u64);
+        // Only a fully loaded program replaces the table; word
+        // validation keeps any stale range harmless either way. The
+        // image is the watched code range: a store into it moves the
+        // generation away from `table_gen`.
+        self.mem.set_code_watch(base, base + 4 * table.len() as u64);
+        self.table_base = base;
+        self.table_gen = self.mem.code_generation();
+        self.table = table;
         Ok(())
     }
 
@@ -329,111 +298,54 @@ impl Hart {
             .load_u32(pc)
             .ok_or(Trap::InstructionFault { addr: pc })?;
         *word_out = Some(word);
-        let insn = self
-            .decode_at(pc, word)
+        let op = self
+            .op_at(pc, word)
             .ok_or(Trap::IllegalInstruction { word })?;
-        self.exec(insn, pc, word)?;
-        Ok(insn)
+        (op.handler)(self, &op)?;
+        Ok(op.insn)
     }
 
-    /// The decode of `word`, which memory holds at `pc`. When the
-    /// load-time cache entry for `pc` still holds `word`, its result is
-    /// final either way — decoded, or known not to decode — and nothing
-    /// is decoded; only a miss (a pc outside the loaded program, or a
-    /// word stored over it since) decodes afresh.
-    pub(crate) fn decode_at(&self, pc: u64, word: u32) -> Option<Instruction> {
-        let cached = pc
-            .checked_sub(self.icache_base)
-            .and_then(|offset| usize::try_from(offset / 4).ok())
-            .and_then(|index| self.icache.get(index));
+    /// The micro-op for `word`, which memory holds at `pc`. When the
+    /// table entry for `pc` still holds `word`, its result is final
+    /// either way — decoded, or known not to decode — and nothing is
+    /// decoded; only a miss (a pc outside the loaded program, or a word
+    /// stored over it since) decodes afresh.
+    fn op_at(&self, pc: u64, word: u32) -> Option<MicroOp> {
+        let cached = self.table_index(pc).and_then(|index| self.table.get(index));
         match cached {
-            Some(&(cached_word, decoded)) if cached_word == word => decoded,
-            _ => Instruction::decode(word).ok(),
+            Some(&(cached_word, op)) if cached_word == word => op,
+            _ => Instruction::decode(word)
+                .ok()
+                .map(|insn| self.micro_op(insn, pc, word)),
         }
     }
 
-    // ---- predecoded-block engine ---------------------------------------
+    /// The index of the table entry loaded at exactly `pc`, if `pc` is
+    /// a word of the program image.
+    fn table_index(&self, pc: u64) -> Option<usize> {
+        let offset = pc.checked_sub(self.table_base)?;
+        if offset % 4 != 0 {
+            return None;
+        }
+        usize::try_from(offset / 4).ok()
+    }
 
-    /// The cached basic block starting at `pc`, validated or (re)built.
-    /// `blocks` is the hart's own block table, lent out by [`run_batch_into`]
-    /// (see there) so the returned ops slice can be walked while the
-    /// handlers borrow the hart — no per-op indexing, no `Arc` refcount
-    /// traffic in the hot loop. `None` when no block applies — pc
-    /// misaligned, outside the loaded program, or the word there does
-    /// not decode — in which case the caller must take the exact
-    /// per-step path.
-    fn block_at<'b>(&mut self, blocks: &'b mut [Option<Block>], pc: u64) -> Option<&'b [MicroOp]> {
+    /// The table entry the native run executes at `pc`, from `table` —
+    /// the hart's own program table, lent out by [`Hart::run_batch_into`]
+    /// so the returned op can be run while its handler borrows the hart.
+    /// `None` sends the step down the exact per-step path: pc
+    /// misaligned or outside the image, a word that does not decode, or
+    /// an entry whose word a store has since replaced.
+    fn table_op<'t>(&self, table: &'t [(u32, Option<MicroOp>)], pc: u64) -> Option<&'t MicroOp> {
         if pc % 4 != 0 {
             return None;
         }
-        let index = usize::try_from(pc.checked_sub(self.icache_base)? / 4).ok()?;
-        if index >= blocks.len() {
+        let (word, op) = table.get(self.table_index(pc)?)?;
+        let op = op.as_ref()?;
+        if self.mem.code_generation() != self.table_gen && self.mem.load_u32(pc) != Some(*word) {
             return None;
         }
-        let gen = self.mem.code_generation();
-        let rebuild = match &blocks[index] {
-            Some(block) if block.gen == gen => false,
-            // The generation moved, but the store(s) behind it may not
-            // have hit this block's words: the per-word store stamps
-            // prove intactness without re-reading memory. A cached
-            // failed build covers the one undecodable word at `pc`.
-            Some(block) => !self
-                .mem
-                .code_range_unchanged(pc, block.ops.len().max(1), block.gen),
-            None => true,
-        };
-        if rebuild {
-            self.build_block(blocks, pc, index)
-        } else {
-            let block = blocks[index].as_mut()?;
-            block.gen = gen;
-            (!block.ops.is_empty()).then_some(&block.ops[..])
-        }
-    }
-
-    /// Decode forward from `pc` to the next block-ending instruction (or
-    /// [`BLOCK_CAP`], the end of the program image, or an undecodable
-    /// word) and cache the straight-line result. A failed build (the
-    /// word at `pc` itself does not decode) is cached as an empty block,
-    /// so the build is not retried until that word is stored to.
-    fn build_block<'b>(
-        &mut self,
-        blocks: &'b mut [Option<Block>],
-        pc: u64,
-        index: usize,
-    ) -> Option<&'b [MicroOp]> {
-        let end = self.icache_base + 4 * blocks.len() as u64;
-        let gen = self.mem.code_generation();
-        let mut ops = Vec::new();
-        let mut addr = pc;
-        while addr < end && ops.len() < BLOCK_CAP {
-            let Some(word) = self.mem.load_u32(addr) else {
-                break;
-            };
-            let Some(insn) = self.decode_at(addr, word) else {
-                break;
-            };
-            ops.push(MicroOp {
-                insn,
-                pc: addr,
-                word,
-                handler: handler_for(insn.opcode()),
-                stores: matches!(
-                    insn.opcode().format(),
-                    Format::S | Format::FpStore | Format::Amo
-                ),
-            });
-            if ends_block(insn.opcode()) {
-                break;
-            }
-            addr = addr.wrapping_add(4);
-        }
-        blocks[index] = Some(Block {
-            gen,
-            ops: ops.into(),
-        });
-        let block = blocks[index].as_ref()?;
-        (!block.ops.is_empty()).then_some(&block.ops[..])
+        Some(op)
     }
 
     /// The register a retired `insn` defined, with its current value —
@@ -475,17 +387,17 @@ impl Hart {
 
     /// Native batched run: the [`Dut::run`] override for [`Hart`].
     ///
-    /// Executes whole predecoded blocks between sample points, with the
-    /// per-step trait dispatch, [`StepOutcome`] construction and
-    /// bookkeeping hoisted out of the inner loop. Observable behaviour —
-    /// step/retire counts, exits, trap causes, trace entries and every
-    /// digest sample, and the pc-pair / opcode-class coverage folds — is
+    /// Executes one program-table entry per step, with the per-step
+    /// trait dispatch, [`StepOutcome`] construction and bookkeeping
+    /// hoisted out of the loop. Observable behaviour — step/retire
+    /// counts, exits, trap causes, trace entries and every digest
+    /// sample, and the pc-pair / opcode-class coverage folds — is
     /// bit-identical to the default trait implementation's documented
     /// schedule (interior samples at step numbers divisible by
     /// `digest_every`, skipping one that would coincide with the final
-    /// sample; a final sample always). Pcs without a valid block —
-    /// outside the program image, misaligned, or holding an undecodable
-    /// word — fall back to the exact per-step path for that step.
+    /// sample; a final sample always). Pcs without a valid entry (see
+    /// [`Hart::table_op`]) fall back to the exact per-step path for
+    /// that step.
     pub(crate) fn run_batch_into(
         &mut self,
         max_steps: u64,
@@ -499,126 +411,89 @@ impl Hart {
         let mut pc_pairs = PC_PAIRS_SEED;
         let mut classes = [0u32; OP_CLASS_BUCKETS];
         out.samples.clear();
-        let samples = &mut out.samples;
         // Countdown to the next interior sample — equivalent to the
         // default impl's `steps % digest_every == 0` because `steps`
         // only ever grows by one, but without a hardware division on
-        // every step. One definition (this macro), three sample points.
+        // every step.
         let mut until_sample = digest_every;
-        macro_rules! sample_point {
-            () => {
-                if digest_every != 0 {
-                    until_sample -= 1;
-                    if until_sample == 0 {
-                        until_sample = digest_every;
-                        if steps < max_steps {
-                            samples.push(fold_sample(self.digest(), self.write_history(), retired));
-                        }
-                    }
-                }
-            };
-        }
-        // Lend the block table out of `self` for the duration of the
-        // run: the ops slice returned by `block_at` then borrows the
-        // local table while the handlers borrow the hart disjointly, so
-        // the walk is a plain slice iteration — no per-op bounds checks,
-        // no `Arc` refcount traffic, no micro-op copies. Nothing on the
-        // handler or fallback path reads `self.blocks`.
-        let mut blocks = std::mem::take(&mut self.blocks);
-        'outer: while steps < max_steps {
+        // Lend the program table out of `self` for the duration of the
+        // run: the op `table_op` returns then borrows the local table
+        // while its handler borrows the hart, so each step walks the op
+        // by reference — no micro-op copies. A fallback step decodes
+        // afresh instead of hitting the lent table, which is exact.
+        let table = std::mem::take(&mut self.table);
+        while steps < max_steps {
             let pc = self.state.pc();
-            let Some(ops) = self.block_at(&mut blocks, pc) else {
-                // Exact per-step fallback for this one step: traps on
-                // misalignment/fetch faults/illegal words are raised by
-                // `step` itself, identically to the default impl.
-                let outcome = self.step();
-                steps += 1;
-                pc_pairs = fold_pc_pair(pc_pairs, pc, self.state.pc());
-                match outcome {
-                    StepOutcome::Retired(insn) => {
-                        retired += 1;
-                        classes[op_class(&insn)] += 1;
-                    }
-                    StepOutcome::Trapped(trap) => {
-                        trap_causes |= 1 << (trap.cause().code() & 63);
-                        match trap {
-                            Trap::Breakpoint { .. } => {
-                                exit = RunExit::Breakpoint { steps };
-                                break 'outer;
-                            }
-                            Trap::EnvironmentCall => {
-                                exit = RunExit::EnvironmentCall { steps };
-                                break 'outer;
-                            }
-                            _ => {}
-                        }
-                    }
-                }
-                sample_point!();
-                continue;
-            };
-            let block_gen = self.mem.code_generation();
-            for op in ops {
+            steps += 1;
+            let trap = if let Some(op) = self.table_op(&table, pc) {
                 self.state.bump_cycle();
                 match (op.handler)(self, op) {
                     Ok(()) => {
                         self.state.bump_instret();
                         retired += 1;
-                        steps += 1;
-                        pc_pairs = fold_pc_pair(pc_pairs, op.pc, self.state.pc());
+                        pc_pairs = fold_pc_pair(pc_pairs, pc, self.state.pc());
                         // The major-opcode field of the fetched word is
                         // what `op_class` computes by re-encoding.
                         classes[((op.word >> 2) & 0x1F) as usize] += 1;
                         if self.trace.is_on() {
                             self.trace_retired(op);
                         }
+                        None
                     }
                     Err(trap) => {
-                        let handler = self.state.csrs_mut().enter_trap(
-                            op.pc,
-                            trap.cause().code(),
-                            trap.tval(),
-                        );
+                        let handler =
+                            self.state
+                                .csrs_mut()
+                                .enter_trap(pc, trap.cause().code(), trap.tval());
                         self.state.set_pc(handler);
-                        steps += 1;
-                        pc_pairs = fold_pc_pair(pc_pairs, op.pc, handler);
-                        trap_causes |= 1 << (trap.cause().code() & 63);
+                        pc_pairs = fold_pc_pair(pc_pairs, pc, handler);
                         if self.trace.is_on() {
                             self.trace_trapped(op, trap);
                         }
-                        match trap {
-                            Trap::Breakpoint { .. } => {
-                                exit = RunExit::Breakpoint { steps };
-                                break 'outer;
-                            }
-                            Trap::EnvironmentCall => {
-                                exit = RunExit::EnvironmentCall { steps };
-                                break 'outer;
-                            }
-                            _ => {}
-                        }
-                        // A non-exit trap vectored pc to mtvec: the rest
-                        // of this block is not what executes next.
-                        sample_point!();
-                        if steps == max_steps {
-                            break 'outer;
-                        }
-                        continue 'outer;
+                        Some(trap)
                     }
                 }
-                sample_point!();
-                if steps == max_steps {
-                    break 'outer;
+            } else {
+                // Exact per-step fallback for this one step: traps on
+                // misalignment/fetch faults/illegal words are raised by
+                // `step` itself, identically to the default impl.
+                let outcome = self.step();
+                pc_pairs = fold_pc_pair(pc_pairs, pc, self.state.pc());
+                match outcome {
+                    StepOutcome::Retired(insn) => {
+                        retired += 1;
+                        classes[op_class(&insn)] += 1;
+                        None
+                    }
+                    StepOutcome::Trapped(trap) => Some(trap),
                 }
-                if op.stores && self.mem.code_generation() != block_gen {
-                    // The store may have hit the code range (in-block
-                    // self-modification): re-resolve at the
-                    // architectural pc instead of walking stale ops.
-                    continue 'outer;
+            };
+            if let Some(trap) = trap {
+                trap_causes |= 1 << (trap.cause().code() & 63);
+                match trap {
+                    Trap::Breakpoint { .. } => {
+                        exit = RunExit::Breakpoint { steps };
+                        break;
+                    }
+                    Trap::EnvironmentCall => {
+                        exit = RunExit::EnvironmentCall { steps };
+                        break;
+                    }
+                    _ => {}
+                }
+            }
+            if digest_every != 0 {
+                until_sample -= 1;
+                if until_sample == 0 {
+                    until_sample = digest_every;
+                    if steps < max_steps {
+                        out.samples
+                            .push(fold_sample(self.digest(), self.write_history(), retired));
+                    }
                 }
             }
         }
-        self.blocks = blocks;
+        self.table = table;
         out.samples
             .push(fold_sample(self.digest(), self.write_history(), retired));
         out.steps = steps;
@@ -1048,29 +923,33 @@ impl Hart {
 
     // ---- the interpreter -----------------------------------------------
 
-    /// Execute one decoded instruction by dispatching through the same
-    /// handler table the block engine uses, so the per-step path and the
-    /// batched path share one implementation of every opcode.
-    fn exec(&mut self, insn: Instruction, pc: u64, word: u32) -> Result<(), Trap> {
-        let op = MicroOp {
+    /// `insn`, fetched as `word` from `pc`, with its handler resolved —
+    /// the one place the per-step path and the program table pick a
+    /// handler: the golden [`handler_for`], or the planted bug's overlay
+    /// for the opcodes it affects.
+    fn micro_op(&self, insn: Instruction, pc: u64, word: u32) -> MicroOp {
+        let opcode = insn.opcode();
+        let handler = self
+            .bug
+            .and_then(|bug| bug.overlay(opcode))
+            .unwrap_or_else(|| handler_for(opcode));
+        MicroOp {
             insn,
             pc,
             word,
-            handler: handler_for(insn.opcode()),
-            stores: false, // unused on the per-step path
-        };
-        (op.handler)(self, &op)
+            handler,
+        }
     }
 }
 
-/// The handler for one opcode. The match is exhaustive over every
+/// The golden handler for one opcode. The match is exhaustive over every
 /// [`Opcode`] — no catch-all — so adding an opcode to the substrate
 /// without teaching the reference model about it fails to compile. Every
 /// handler ends by setting pc (straight-line ops via [`Hart::advance`],
 /// control flow explicitly); on a trap (`Err`) pc is untouched and the
 /// caller vectors it.
 #[allow(clippy::too_many_lines)]
-fn handler_for(opcode: Opcode) -> Handler {
+pub(crate) fn handler_for(opcode: Opcode) -> Handler {
     use Opcode as Op;
     match opcode {
         // ---- RV64I: upper immediates and jumps ---------------------
@@ -2000,6 +1879,28 @@ mod tests {
             "environment call after 1 steps"
         );
         assert_eq!(RunExit::OutOfGas.to_string(), "out of gas");
+    }
+
+    #[test]
+    fn same_word_store_keeps_the_run_on_the_table() {
+        // Both stores move the code generation; only the one that
+        // changes a word takes that entry off the table.
+        let program = [
+            Instruction::i_type(Opcode::Lw, x(5), Gpr::ZERO, 8).unwrap(),
+            Instruction::s_type(Opcode::Sw, Gpr::ZERO, x(5), 8).unwrap(),
+            Instruction::i_type(Opcode::Addi, x(1), Gpr::ZERO, 5).unwrap(),
+            Instruction::s_type(Opcode::Sw, Gpr::ZERO, Gpr::ZERO, 0).unwrap(),
+            Instruction::system(Opcode::Ebreak),
+        ];
+        let mut hart = hart_with(&program);
+        assert_eq!(hart.run(2), RunExit::OutOfGas);
+        assert_ne!(hart.mem.code_generation(), hart.table_gen);
+        for pc in (0..20).step_by(4) {
+            assert!(hart.table_op(&hart.table, pc).is_some(), "pc {pc:#x}");
+        }
+        assert_eq!(hart.run(10), RunExit::Breakpoint { steps: 3 });
+        assert!(hart.table_op(&hart.table, 0).is_none(), "stale entry");
+        assert!(hart.table_op(&hart.table, 8).is_some());
     }
 
     #[test]

@@ -48,15 +48,11 @@ pub struct Memory {
     // Cumulative fold of every store since construction (see
     // [`Memory::write_history`]); bookkeeping, not state.
     history: DeferredFold,
-    // Watched code range and its generation counters: every store
-    // overlapping `code_watch` bumps `code_gen` and stamps the new value
-    // on each overlapped 4-byte word in `code_word_gens`, so the hart's
-    // predecoded-block cache validates an untouched block with one
-    // integer compare and a touched-generation block with an L1 slice
-    // scan — never by re-reading instruction words.
+    // Watched code range and its generation counter: every store
+    // overlapping `code_watch` bumps `code_gen`, so the hart trusts its
+    // program table with one integer compare until code is stored to.
     code_watch: (u64, u64),
     code_gen: u64,
-    code_word_gens: Vec<u64>,
 }
 
 impl Memory {
@@ -70,22 +66,16 @@ impl Memory {
             history: DeferredFold::new(),
             code_watch: (0, 0),
             code_gen: 0,
-            code_word_gens: Vec::new(),
         }
     }
 
     /// Watch `start..end` as the code range: any store overlapping it
     /// bumps the generation counter returned by
-    /// [`Memory::code_generation`] and stamps the overlapped 4-byte
-    /// words (see [`Memory::code_range_unchanged`]). A single range is
-    /// enough because the hart only predecodes blocks inside the loaded
-    /// program image.
+    /// [`Memory::code_generation`]. A single range is enough because
+    /// the hart only predecodes the loaded program image.
     pub fn set_code_watch(&mut self, start: u64, end: u64) {
         self.code_watch = (start, end);
         self.code_gen = self.code_gen.wrapping_add(1);
-        let words = usize::try_from(end.saturating_sub(start).div_ceil(4)).unwrap_or(0);
-        self.code_word_gens.clear();
-        self.code_word_gens.resize(words, self.code_gen);
     }
 
     /// Generation counter of the watched code range; changes (only) when
@@ -95,30 +85,6 @@ impl Memory {
     #[must_use]
     pub fn code_generation(&self) -> u64 {
         self.code_gen
-    }
-
-    /// True when none of the `words` 4-byte code words starting at
-    /// `addr` have been stored to since generation `since` — the cheap
-    /// per-block re-validation behind [`Memory::code_generation`]: a
-    /// store elsewhere in the watched range moves the global generation
-    /// but leaves these word stamps behind, proving this block's bytes
-    /// are intact without re-reading them. Returns `false` for any
-    /// address outside the watched range.
-    #[must_use]
-    pub fn code_range_unchanged(&self, addr: u64, words: usize, since: u64) -> bool {
-        let Some(start) = addr.checked_sub(self.code_watch.0) else {
-            return false;
-        };
-        let Ok(start) = usize::try_from(start / 4) else {
-            return false;
-        };
-        let Some(end) = start.checked_add(words) else {
-            return false;
-        };
-        let Some(stamps) = self.code_word_gens.get(start..end) else {
-            return false;
-        };
-        stamps.iter().all(|&stamp| stamp <= since)
     }
 
     /// The configured size in bytes.
@@ -188,16 +154,6 @@ impl Memory {
         }
         if addr < self.code_watch.1 && addr + N as u64 > self.code_watch.0 {
             self.code_gen = self.code_gen.wrapping_add(1);
-            let first = (addr.max(self.code_watch.0) - self.code_watch.0) / 4;
-            let last = (addr + N as u64 - 1).min(self.code_watch.1 - 1) - self.code_watch.0;
-            for word in first..=last / 4 {
-                if let Some(stamp) = self
-                    .code_word_gens
-                    .get_mut(usize::try_from(word).unwrap_or(usize::MAX))
-                {
-                    *stamp = self.code_gen;
-                }
-            }
         }
         self.mark_dirty(addr, N as u64);
         let offset = (addr % PAGE_SIZE) as usize;

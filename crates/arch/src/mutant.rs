@@ -9,18 +9,18 @@
 //! localises must be one where the scenario actually fired — this is the
 //! end-to-end self-test of the differential engine.
 //!
-//! Mutants implement only [`Dut::step`] and therefore inherit the
-//! default per-step [`Dut::run`] schedule — they deliberately do *not*
-//! take the golden hart's native block engine, because every bug hook
-//! wraps an individual `step` and must observe every instruction. The
-//! `run_native` integration test pins this: wrapping a mutant so it
-//! cannot be batch-run changes nothing, bit for bit.
+//! Each scenario is a handler overlay: the hart resolves every opcode
+//! the scenario affects to a handler that wraps the golden one (see
+//! [`BugScenario::overlay`]), in its program table and on the per-step
+//! path alike. A mutant therefore runs the golden hart's native engine;
+//! the `run_native` integration test pins that its batched run is
+//! bit-identical to its per-step run.
 
 use tf_riscv::csr;
 use tf_riscv::{Extension, Format, Gpr, Instruction, Opcode, RoundingMode};
 
-use crate::dut::Dut;
-use crate::hart::Hart;
+use crate::dut::{BatchOutcome, Dut};
+use crate::hart::{handler_for, Handler, Hart, MicroOp};
 use crate::trace::{ExecutionTrace, StepOutcome};
 use crate::trap::Trap;
 
@@ -147,7 +147,7 @@ impl MutantHart {
     #[must_use]
     pub fn new(mem_size: u64, scenario: BugScenario) -> Self {
         MutantHart {
-            hart: Hart::new(mem_size),
+            hart: Hart::with_bug(mem_size, scenario),
             scenario,
         }
     }
@@ -163,204 +163,169 @@ impl MutantHart {
     pub fn hart(&self) -> &Hart {
         &self.hart
     }
+}
 
-    /// Decode the instruction the next step would fetch, if the fetch
-    /// and decode succeed (through the hart's decode cache, as the step
-    /// itself will).
-    fn peek(&self) -> Option<Instruction> {
-        let pc = self.hart.state().pc();
-        if pc % 4 != 0 {
-            return None;
-        }
-        let word = self.hart.mem().load_u32(pc)?;
-        self.hart.decode_at(pc, word)
+impl BugScenario {
+    /// The handler overlay this scenario installs for `opcode`, or
+    /// `None` when the opcode is outside the scenario's datapath and
+    /// runs the golden handler.
+    pub(crate) fn overlay(self, opcode: Opcode) -> Option<Handler> {
+        let fp = matches!(opcode.extension(), Extension::F | Extension::D);
+        let csr_op = matches!(opcode.format(), Format::Csr | Format::CsrImm);
+        let handler: Handler = match self {
+            BugScenario::B2ReservedRounding if fp => b2,
+            BugScenario::OffByOneImmediate if opcode == Opcode::Addi => off_by_one,
+            BugScenario::DroppedFflags if fp => dropped_fflags,
+            BugScenario::CsrWriteMask if csr_op => csr_mask,
+            BugScenario::BranchOffsetTruncation if opcode.format() == Format::B => btrunc,
+            BugScenario::SignExtensionDroppedLoad if sext_load_mask(opcode).is_some() => ldsext,
+            _ => return None,
+        };
+        Some(handler)
     }
+}
 
-    /// B2: when the next instruction would resolve a dynamic rounding
-    /// mode through a reserved `frm`, execute it as RNE instead of
-    /// letting the reference semantics trap.
-    fn step_b2(&mut self) -> StepOutcome {
-        let reserved_dyn = self.peek().is_some_and(|insn| {
-            insn.rm() == Some(RoundingMode::Dyn)
-                && RoundingMode::from_bits(self.hart.state().csrs().frm()).is_none()
-        });
-        if !reserved_dyn {
-            return self.hart.step();
-        }
-        let frm = u64::from(self.hart.state().csrs().frm());
-        let csrs = self.hart.state_mut().csrs_mut();
-        csrs.write(csr::FRM, u64::from(RoundingMode::Rne.to_bits()))
-            .expect("frm is writable");
-        let outcome = self.hart.step();
-        // Restore the reserved encoding: the bug is in rm resolution, not
-        // in the CSR file.
-        self.hart
-            .state_mut()
-            .csrs_mut()
-            .write(csr::FRM, frm)
-            .expect("frm is writable");
-        outcome
-    }
+// Each overlay runs the golden handler and makes the scenario's extra
+// state writes around it, in a fixed order, so write histories, trace
+// `def`s (read after the handler) and digests are those of the buggy
+// device.
 
-    /// Off-by-one: after a retired `addi`, nudge the destination by one
-    /// (and keep the recorded trace consistent with the buggy device).
-    fn step_off_by_one(&mut self) -> StepOutcome {
-        let outcome = self.hart.step();
-        if let StepOutcome::Retired(insn) = outcome {
-            if insn.opcode() == Opcode::Addi {
-                let rd = Gpr::wrapping(insn.rd());
-                if !rd.is_zero() {
-                    let buggy = self.hart.state().x(rd).wrapping_add(1);
-                    self.hart.state_mut().set_x(rd, buggy);
-                    if let Some(entry) = self.hart.trace_last_mut() {
-                        if let Some((reg, value)) = &mut entry.def {
-                            debug_assert_eq!(*reg, tf_riscv::Reg::X(rd));
-                            *value = buggy;
-                        }
-                    }
-                }
-            }
-        }
-        outcome
-    }
+/// The golden semantics of `m`.
+fn golden(h: &mut Hart, m: &MicroOp) -> Result<(), Trap> {
+    handler_for(m.insn.opcode())(h, m)
+}
 
-    /// Dropped fflags: restore the pre-step `fflags` after any retired
-    /// F/D-extension instruction, as if the accrual wires were cut.
-    fn step_dropped_fflags(&mut self) -> StepOutcome {
-        let before = self
-            .hart
-            .state()
-            .csrs()
-            .read(csr::FFLAGS)
-            .expect("fflags exists");
-        let outcome = self.hart.step();
-        if let StepOutcome::Retired(insn) = outcome {
-            if matches!(insn.opcode().extension(), Extension::F | Extension::D) {
-                let csrs = self.hart.state_mut().csrs_mut();
-                csrs.write(csr::FFLAGS, before).expect("fflags is writable");
-            }
-        }
-        outcome
+/// B2: an FP instruction whose dynamic rounding mode resolves through a
+/// reserved `frm` executes as RNE instead of trapping. The reserved
+/// encoding is restored afterwards — before the caller takes a trap the
+/// instruction still raises with `mstatus.FS` off: the bug is in rm
+/// resolution, not in the CSR file.
+fn b2(h: &mut Hart, m: &MicroOp) -> Result<(), Trap> {
+    let frm = h.state().csrs().frm();
+    if m.insn.rm() != Some(RoundingMode::Dyn) || RoundingMode::from_bits(frm).is_some() {
+        return golden(h, m);
     }
+    let csrs = h.state_mut().csrs_mut();
+    csrs.write(csr::FRM, u64::from(RoundingMode::Rne.to_bits()))
+        .expect("frm is writable");
+    let result = golden(h, m);
+    h.state_mut()
+        .csrs_mut()
+        .write(csr::FRM, u64::from(frm))
+        .expect("frm is writable");
+    result
+}
 
-    /// CSR write mask: after a retired CSR instruction that actually
-    /// wrote `fflags` or `fcsr`, put the *pre-write* NV bit back — the
-    /// buggy write port drives only the low four flag bits, so the NV
-    /// flop retains its old value whether the write tried to set or
-    /// clear it. The set/clear flavours with an `x0`/zero source perform
-    /// no write architecturally, so the bug does not fire for them, and
-    /// the FP accrual path ([`Hart::step`] retiring an FP instruction)
-    /// is untouched.
-    fn step_csr_mask(&mut self) -> StepOutcome {
-        let nv_before = self
-            .hart
-            .state()
-            .csrs()
-            .read(csr::FFLAGS)
-            .expect("fflags exists")
-            & csr::fflags::NV;
-        let outcome = self.hart.step();
-        if let StepOutcome::Retired(insn) = outcome {
-            let writes = match insn.opcode() {
-                Opcode::Csrrw | Opcode::Csrrwi => true,
-                Opcode::Csrrs | Opcode::Csrrc | Opcode::Csrrsi | Opcode::Csrrci => insn.rs1() != 0,
-                _ => false,
-            };
-            let flag_csr = insn
-                .csr_addr()
-                .is_some_and(|addr| addr == csr::FFLAGS || addr == csr::FCSR);
-            if writes && flag_csr {
-                let flags = self
-                    .hart
-                    .state()
-                    .csrs()
-                    .read(csr::FFLAGS)
-                    .expect("fflags exists");
-                let stuck = (flags & !csr::fflags::NV) | nv_before;
-                if stuck != flags {
-                    self.hart
-                        .state_mut()
-                        .csrs_mut()
-                        .write(csr::FFLAGS, stuck)
-                        .expect("fflags is writable");
-                }
-            }
-        }
-        outcome
+/// Off-by-one: a retired `addi` writes `rs1 + imm + 1`.
+fn off_by_one(h: &mut Hart, m: &MicroOp) -> Result<(), Trap> {
+    golden(h, m)?;
+    let rd = Gpr::wrapping(m.insn.rd());
+    if !rd.is_zero() {
+        let buggy = h.state().x(rd).wrapping_add(1);
+        h.state_mut().set_x(rd, buggy);
     }
+    Ok(())
+}
 
-    /// Branch-offset truncation: when a conditional branch is *taken*
-    /// and its B-format offset has bit 3 set, re-land the pc 8 bytes
-    /// short, as a target adder missing that offset wire would. The
-    /// taken/not-taken decision itself is the reference's; only the
-    /// landing address is corrupted, and only when the dropped bit
-    /// actually participates in the target.
-    fn step_btrunc(&mut self) -> StepOutcome {
-        let branch = self
-            .peek()
-            .filter(|insn| insn.opcode().format() == Format::B);
-        let pc_before = self.hart.state().pc();
-        let outcome = self.hart.step();
-        if let (Some(insn), StepOutcome::Retired(_)) = (branch, outcome) {
-            let offset = insn.imm();
-            let taken = self.hart.state().pc() == pc_before.wrapping_add(offset as u64);
-            // offset == 4 (the only shape where taken and not-taken
-            // targets coincide) has bit 3 clear, so `taken` is unambiguous
-            // whenever the bug fires.
-            if taken && offset & 8 != 0 {
-                let truncated = pc_before.wrapping_add((offset & !8) as u64);
-                self.hart.state_mut().set_pc(truncated);
-            }
-        }
-        outcome
-    }
+/// Dropped fflags: a retired F/D-extension instruction leaves `fflags`
+/// as it found it, as if the accrual wires were cut.
+fn dropped_fflags(h: &mut Hart, m: &MicroOp) -> Result<(), Trap> {
+    let before = h.state().csrs().read(csr::FFLAGS).expect("fflags exists");
+    golden(h, m)?;
+    h.state_mut()
+        .csrs_mut()
+        .write(csr::FFLAGS, before)
+        .expect("fflags is writable");
+    Ok(())
+}
 
-    /// Dropped load sign extension: after a retired instruction whose
-    /// destination received a sign-extended (negative) narrow memory
-    /// value — `lb`/`lh`/`lw`, or the old-value read-back of a W-form
-    /// AMO/`lr.w` — overwrite it with the zero-extended value the stuck
-    /// mux would have produced (and keep the recorded trace consistent
-    /// with the buggy device). Non-negative loads are bit-identical
-    /// either way, so the bug fires only when the loaded value's sign
-    /// bit is set. `sc.w` writes a success code, not a loaded value, so
-    /// it is outside the datapath.
-    fn step_ldsext(&mut self) -> StepOutcome {
-        let outcome = self.hart.step();
-        if let StepOutcome::Retired(insn) = outcome {
-            let mask: u64 = match insn.opcode() {
-                Opcode::Lb => 0xFF,
-                Opcode::Lh => 0xFFFF,
-                Opcode::Lw
-                | Opcode::LrW
-                | Opcode::AmoswapW
-                | Opcode::AmoaddW
-                | Opcode::AmoxorW
-                | Opcode::AmoandW
-                | Opcode::AmoorW
-                | Opcode::AmominW
-                | Opcode::AmomaxW
-                | Opcode::AmominuW
-                | Opcode::AmomaxuW => 0xFFFF_FFFF,
-                _ => return outcome,
-            };
-            let rd = Gpr::wrapping(insn.rd());
-            if rd.is_zero() {
-                return outcome;
-            }
-            let value = self.hart.state().x(rd);
-            let buggy = value & mask;
-            if buggy != value {
-                self.hart.state_mut().set_x(rd, buggy);
-                if let Some(entry) = self.hart.trace_last_mut() {
-                    if let Some((reg, traced)) = &mut entry.def {
-                        debug_assert_eq!(*reg, tf_riscv::Reg::X(rd));
-                        *traced = buggy;
-                    }
-                }
-            }
-        }
-        outcome
+/// Whether a CSR instruction with this opcode and `rs1` field performs a
+/// write: always for the `rw` flavours, never for set/clear with an
+/// `x0`/zero source.
+fn csr_writes(opcode: Opcode, rs1: u8) -> bool {
+    match opcode {
+        Opcode::Csrrw | Opcode::Csrrwi => true,
+        Opcode::Csrrs | Opcode::Csrrc | Opcode::Csrrsi | Opcode::Csrrci => rs1 != 0,
+        _ => false,
     }
+}
+
+/// CSR write mask: after a retired CSR instruction that actually wrote
+/// `fflags` or `fcsr`, put the *pre-write* NV bit back — the buggy write
+/// port drives only the low four flag bits, so the NV flop retains its
+/// old value whether the write tried to set or clear it. The FP accrual
+/// path is untouched.
+fn csr_mask(h: &mut Hart, m: &MicroOp) -> Result<(), Trap> {
+    let nv_before = h.state().csrs().read(csr::FFLAGS).expect("fflags exists") & csr::fflags::NV;
+    golden(h, m)?;
+    let flag_csr = m
+        .insn
+        .csr_addr()
+        .is_some_and(|addr| addr == csr::FFLAGS || addr == csr::FCSR);
+    if csr_writes(m.insn.opcode(), m.insn.rs1()) && flag_csr {
+        let flags = h.state().csrs().read(csr::FFLAGS).expect("fflags exists");
+        let stuck = (flags & !csr::fflags::NV) | nv_before;
+        if stuck != flags {
+            h.state_mut()
+                .csrs_mut()
+                .write(csr::FFLAGS, stuck)
+                .expect("fflags is writable");
+        }
+    }
+    Ok(())
+}
+
+/// Branch-offset truncation: a *taken* conditional branch whose offset
+/// has bit 3 set re-lands 8 bytes short. The taken/not-taken decision
+/// is the reference's; offset 4 (the only shape where taken and
+/// not-taken targets coincide) has bit 3 clear, so `taken` is
+/// unambiguous whenever the bug fires.
+fn btrunc(h: &mut Hart, m: &MicroOp) -> Result<(), Trap> {
+    golden(h, m)?;
+    let offset = m.insn.imm();
+    let taken = h.state().pc() == m.pc.wrapping_add(offset as u64);
+    if taken && offset & 8 != 0 {
+        h.state_mut()
+            .set_pc(m.pc.wrapping_add((offset & !8) as u64));
+    }
+    Ok(())
+}
+
+/// The narrow-value mask of the opcodes whose `rd` write-back goes
+/// through the load sign-extension mux: `lb`/`lh`/`lw`, and the
+/// old-value read-back of `lr.w` and the W-form AMOs. `sc.w` writes a
+/// success code, not a loaded value, so it is outside the datapath.
+fn sext_load_mask(opcode: Opcode) -> Option<u64> {
+    match opcode {
+        Opcode::Lb => Some(0xFF),
+        Opcode::Lh => Some(0xFFFF),
+        Opcode::Lw
+        | Opcode::LrW
+        | Opcode::AmoswapW
+        | Opcode::AmoaddW
+        | Opcode::AmoxorW
+        | Opcode::AmoandW
+        | Opcode::AmoorW
+        | Opcode::AmominW
+        | Opcode::AmomaxW
+        | Opcode::AmominuW
+        | Opcode::AmomaxuW => Some(0xFFFF_FFFF),
+        _ => None,
+    }
+}
+
+/// Dropped load sign extension: the destination receives the narrow
+/// value zero-extended. Non-negative values are bit-identical either
+/// way, so the bug fires only when the loaded value's sign bit is set.
+fn ldsext(h: &mut Hart, m: &MicroOp) -> Result<(), Trap> {
+    golden(h, m)?;
+    let rd = Gpr::wrapping(m.insn.rd());
+    let mask = sext_load_mask(m.insn.opcode()).unwrap_or(u64::MAX);
+    let value = h.state().x(rd);
+    if !rd.is_zero() && value & mask != value {
+        h.state_mut().set_x(rd, value & mask);
+    }
+    Ok(())
 }
 
 impl Dut for MutantHart {
@@ -384,14 +349,7 @@ impl Dut for MutantHart {
     }
 
     fn step(&mut self) -> StepOutcome {
-        match self.scenario {
-            BugScenario::B2ReservedRounding => self.step_b2(),
-            BugScenario::OffByOneImmediate => self.step_off_by_one(),
-            BugScenario::DroppedFflags => self.step_dropped_fflags(),
-            BugScenario::CsrWriteMask => self.step_csr_mask(),
-            BugScenario::BranchOffsetTruncation => self.step_btrunc(),
-            BugScenario::SignExtensionDroppedLoad => self.step_ldsext(),
-        }
+        self.hart.step()
     }
 
     fn pc(&self) -> u64 {
@@ -403,8 +361,9 @@ impl Dut for MutantHart {
     }
 
     fn write_history(&self) -> u64 {
-        // The wrapped hart's history already includes every extra write
-        // a fired scenario performed through `state_mut`.
+        // The overlays write through the hart's own state, so its
+        // history already includes every extra write a fired scenario
+        // performed.
         self.hart.write_history()
     }
 
@@ -414,6 +373,20 @@ impl Dut for MutantHart {
 
     fn take_trace(&mut self) -> Option<ExecutionTrace> {
         self.hart.take_trace()
+    }
+
+    fn enable_trace_digest(&mut self) {
+        self.hart.enable_trace_digest();
+    }
+
+    fn take_trace_digest(&mut self) -> Option<u64> {
+        self.hart.take_trace_digest()
+    }
+
+    /// The hart's native table run: the overlays sit in its program
+    /// table, so the mutant takes the same engine as the golden hart.
+    fn run_into(&mut self, max_steps: u64, digest_every: u64, out: &mut BatchOutcome) {
+        self.hart.run_batch_into(max_steps, digest_every, out);
     }
 }
 
@@ -459,6 +432,22 @@ mod tests {
         // The reserved frm survives the mutant's internal RNE substitution.
         assert_eq!(mutant.hart().state().csrs().frm(), 0b101);
         assert_ne!(Dut::digest(&mutant), reference.digest());
+    }
+
+    #[test]
+    fn mutant_still_fires_after_dut_reset() {
+        let mut mutant = MutantHart::new(1 << 16, BugScenario::B2ReservedRounding);
+        for _ in 0..2 {
+            Dut::reset(&mut mutant);
+            mutant.load(0, &b2_program()).unwrap();
+            let batch = Dut::run(&mut mutant, 10, 0);
+            assert_eq!(
+                batch.exit,
+                crate::RunExit::Breakpoint { steps: 3 },
+                "the reserved-rm add retires"
+            );
+            assert_eq!(mutant.scenario(), BugScenario::B2ReservedRounding);
+        }
     }
 
     #[test]

@@ -153,14 +153,6 @@ impl TraceSink {
         }
     }
 
-    /// The most recently recorded entry (full traces only).
-    pub(crate) fn last_mut(&mut self) -> Option<&mut TraceEntry> {
-        match self {
-            TraceSink::Full(trace) => trace.entries.last_mut(),
-            _ => None,
-        }
-    }
-
     /// Stop tracing and take the full trace, if one was being recorded.
     pub(crate) fn take_trace(&mut self) -> Option<ExecutionTrace> {
         match std::mem::take(self) {

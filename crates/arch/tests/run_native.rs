@@ -1,15 +1,16 @@
 //! Native batched `Hart::run` is bit-identical to the default trait
 //! implementation.
 //!
-//! `Hart` overrides [`Dut::run`] with a predecoded-block engine; the
-//! override is only sound if every observable — step and retire counts,
-//! exit, trap-cause set, every digest sample, the end-state digest, the
-//! write history and the recorded trace — matches what the default
-//! per-step trait body would have produced. These tests drive both
+//! `Hart` and `MutantHart` override [`Dut::run`] with the engine that
+//! walks the program table `load_program` predecodes; the override is
+//! only sound if every observable — step and retire counts, exit,
+//! trap-cause set, every digest sample, the end-state digest, the write
+//! history and the recorded trace — matches what the default per-step
+//! trait body would have produced. These tests drive both
 //! implementations (the default one through a wrapper that forwards
 //! everything except `run`) over generated programs, every bug
-//! scenario, self-modifying code and a sweep of sampling windows, and
-//! require exact equality.
+//! scenario, self-modifying code, pcs outside the image and a sweep of
+//! sampling windows, and require exact equality.
 //!
 //! The same runs also pin the streamed trace digest: both paths, armed
 //! with [`Dut::enable_trace_digest`] instead, must report the
@@ -17,7 +18,9 @@
 //! [`Dut::enable_tracing`].
 
 use tf_arch::{BugScenario, Dut, ExecutionTrace, Hart, MutantHart, StepOutcome, Trap};
-use tf_riscv::{BranchOffset, Gpr, Instruction, InstructionLibrary, LibraryConfig, Opcode};
+use tf_riscv::{
+    BranchOffset, Gpr, Instruction, InstructionLibrary, JumpOffset, LibraryConfig, Opcode,
+};
 
 const MEM: u64 = 1 << 20;
 
@@ -96,14 +99,9 @@ fn assert_run_identical<D: Dut>(
     let native_trace = native.take_trace().expect("tracing was enabled");
     let default_trace = default.take_trace().expect("tracing was enabled");
     assert_eq!(
-        native_trace.len(),
-        default_trace.len(),
-        "trace lengths: {ctx}"
-    );
-    assert_eq!(
-        native_trace.digest(),
-        default_trace.digest(),
-        "trace digests: {ctx}"
+        native_trace.entries(),
+        default_trace.entries(),
+        "traces: {ctx}"
     );
     let mut native = make();
     let mut default = PerStep(make());
@@ -156,7 +154,7 @@ fn native_run_matches_default_on_generated_programs() {
         assert_run_identical(&make, 200, 0, &format!("seed {seed}"));
         assert_run_identical(&make, 0, 1, &format!("seed {seed}"));
         if seed % 3 == 0 {
-            // An undecodable word mid-image: the block engine must hand
+            // An undecodable word mid-image: the table engine must hand
             // that step to the per-step fallback.
             let corrupt = || {
                 let mut hart = make();
@@ -190,19 +188,65 @@ fn native_run_matches_default_at_an_offset_load_base() {
         hart
     };
     assert_run_identical(&stuck, 25, 3, "pc outside program");
+    // A load base off the 4-byte grid: every aligned pc in the image
+    // falls between two loaded words, so no table entry may serve it.
+    let straddled = || {
+        let mut hart = Hart::new(MEM);
+        hart.load_program(0x1002, &program).unwrap();
+        hart.state_mut().set_pc(0x1004);
+        hart
+    };
+    assert_run_identical(&straddled, 25, 3, "misaligned base");
+}
+
+/// A prelude that fires every planted bug once: a negative `addi`
+/// (`imm`) stored and reloaded narrow (`ldsext`), an explicit write of
+/// all five flags (`csrmask`), an invalid 0/0 divide (`fflags`), a taken
+/// branch whose offset has bit 3 set (`btrunc`, which re-lands on the
+/// second of two filler words the reference skips) and a
+/// dynamic-rounding add under a reserved `frm` (`b2`). `mtvec` points
+/// just past the prelude, so the reference's trap on that add — and
+/// every later trap — resumes in the code that follows.
+fn every_bug_prelude() -> Vec<Instruction> {
+    use tf_riscv::{csr, Fpr, RoundingMode};
+    const LEN: i64 = 12;
+    let f = |i| Fpr::new(i).unwrap();
+    let prelude = vec![
+        Instruction::i_type(Opcode::Addi, x(7), Gpr::ZERO, 4 * LEN).unwrap(),
+        Instruction::csr_reg(Opcode::Csrrw, Gpr::ZERO, csr::MTVEC, x(7)).unwrap(),
+        Instruction::i_type(Opcode::Addi, x(1), Gpr::ZERO, -1).unwrap(),
+        Instruction::s_type(Opcode::Sw, Gpr::ZERO, x(1), 0x400).unwrap(),
+        Instruction::i_type(Opcode::Lw, x(2), Gpr::ZERO, 0x400).unwrap(),
+        Instruction::csr_imm(Opcode::Csrrwi, Gpr::ZERO, csr::FFLAGS, 0x1F).unwrap(),
+        Instruction::fp_r_type(Opcode::FdivS, f(1), f(2), f(3), Some(RoundingMode::Rne)).unwrap(),
+        Instruction::b_type(
+            Opcode::Beq,
+            Gpr::ZERO,
+            Gpr::ZERO,
+            BranchOffset::new(12).unwrap(),
+        ),
+        Instruction::i_type(Opcode::Addi, x(3), Gpr::ZERO, 1).unwrap(),
+        Instruction::i_type(Opcode::Addi, x(3), Gpr::ZERO, 2).unwrap(),
+        Instruction::csr_imm(Opcode::Csrrwi, Gpr::ZERO, csr::FRM, 0b101).unwrap(),
+        Instruction::fp_r_type(Opcode::FaddS, f(4), f(5), f(6), Some(RoundingMode::Dyn)).unwrap(),
+    ];
+    assert_eq!(prelude.len() as i64, LEN);
+    prelude
 }
 
 #[test]
 fn every_mutant_stays_on_the_exact_per_step_schedule() {
-    // MutantHart implements only `Dut::step`, so it inherits the default
-    // `run` — wrapping it in `PerStep` must change nothing. This pins
-    // the fallback contract: bug hooks observe every step, and a future
-    // native override for mutants has the same bit-identity bar.
+    // Mutants run natively: their bugs are handler overlays in the
+    // hart's program table, and the per-step path resolves the same
+    // overlays. A mutant's native `run_into` must therefore equal the
+    // run of its `PerStep` wrapper — batch outcome, full trace and
+    // streamed trace digest — and the bug must actually have fired.
     let seeds: u64 = if cfg!(debug_assertions) { 12 } else { 60 };
     for scenario in BugScenario::ALL {
         for seed in 0..seeds {
             let mut library = InstructionLibrary::new(LibraryConfig::all(), 0x0DD ^ seed);
-            let mut program = library.sample_program(40).expect("full library");
+            let mut program = every_bug_prelude();
+            program.extend(library.sample_program(40).expect("full library"));
             program.push(Instruction::system(Opcode::Ebreak));
             let make = || {
                 let mut mutant = MutantHart::new(MEM, scenario);
@@ -211,16 +255,30 @@ fn every_mutant_stays_on_the_exact_per_step_schedule() {
             };
             let window = WINDOWS[(seed % 4) as usize];
             assert_run_identical(&make, 160, window, scenario.id());
+            let mut mutant = make();
+            let mut golden = Hart::new(MEM);
+            golden.load_program(0, &program).unwrap();
+            Dut::run(&mut mutant, 160, 0);
+            Dut::run(&mut golden, 160, 0);
+            // Every firing overlay makes a write the golden hart does
+            // not, so the histories part even where a later write
+            // reconverges the state.
+            assert_ne!(
+                mutant.write_history(),
+                golden.write_history(),
+                "{} must fire on the native path (seed {seed})",
+                scenario.id()
+            );
         }
     }
 }
 
 #[test]
 fn in_block_self_modification_is_architecturally_exact() {
-    // The store at pc 4 rewrites the instruction at pc 12 *within the
-    // same straight-line block*, before it executes. The native engine
-    // must notice mid-block (memory generation check) and execute the
-    // fresh word, exactly like the per-step path.
+    // The store at pc 4 rewrites the not-yet-executed instruction at pc
+    // 12. The native engine must notice (memory generation moved, word
+    // no longer the table's) and execute the fresh word, exactly like
+    // the per-step path.
     let patch = word_of(Instruction::i_type(Opcode::Addi, x(6), Gpr::ZERO, 99).unwrap());
     let program = [
         Instruction::i_type(Opcode::Lw, x(5), Gpr::ZERO, 0x400).unwrap(),
@@ -247,8 +305,8 @@ fn in_block_self_modification_is_architecturally_exact() {
 #[test]
 fn same_word_store_into_code_revalidates_without_divergence() {
     // Rewriting an instruction with identical bytes bumps the code
-    // generation but leaves every block word intact — the re-validation
-    // path must keep the cached block and stay exact.
+    // generation but leaves every table word intact — word validation
+    // must keep executing the table entries and stay exact.
     let program = [
         Instruction::i_type(Opcode::Lw, x(5), Gpr::ZERO, 8).unwrap(),
         Instruction::s_type(Opcode::Sw, Gpr::ZERO, x(5), 8).unwrap(),
@@ -292,6 +350,73 @@ fn loop_back_into_modified_code_rebuilds_the_block() {
     let mut hart = make();
     Dut::run(&mut hart, 100, 0);
     assert_eq!(hart.state().x(x(4)), 11, "second pass must see the patch");
+}
+
+#[test]
+fn jump_below_the_load_base_takes_the_per_step_path() {
+    // Loaded at 0x100; the jal at 0x104 lands at 0xF8, below the image,
+    // where two words planted outside the table run per step and jump
+    // back in to the ebreak at 0x10C.
+    let program = [
+        Instruction::i_type(Opcode::Addi, x(1), Gpr::ZERO, 1).unwrap(),
+        Instruction::j_type(Opcode::Jal, Gpr::ZERO, JumpOffset::new(-12).unwrap()),
+        Instruction::i_type(Opcode::Addi, x(1), Gpr::ZERO, 2).unwrap(),
+        Instruction::system(Opcode::Ebreak),
+    ];
+    let make = || {
+        let mut hart = Hart::new(MEM);
+        hart.load_program(0x100, &program).unwrap();
+        let below = [
+            Instruction::i_type(Opcode::Addi, x(5), Gpr::ZERO, 7).unwrap(),
+            Instruction::j_type(Opcode::Jal, Gpr::ZERO, JumpOffset::new(16).unwrap()),
+        ];
+        for (i, insn) in below.into_iter().enumerate() {
+            hart.mem_mut()
+                .store_u32(0xF8 + 4 * i as u64, word_of(insn))
+                .unwrap();
+        }
+        hart.state_mut().set_pc(0x100);
+        hart
+    };
+    for window in WINDOWS {
+        assert_run_identical(&make, 50, window, "below the base");
+    }
+    let mut hart = make();
+    let batch = Dut::run(&mut hart, 50, 0);
+    assert_eq!(batch.exit, tf_arch::RunExit::Breakpoint { steps: 5 });
+    assert_eq!((hart.state().x(x(1)), hart.state().x(x(5))), (1, 7));
+}
+
+#[test]
+fn branch_past_the_end_of_the_image_takes_the_per_step_path() {
+    // The taken branch leaves the three-word image; the words it lands
+    // on were stored after loading, outside the table's range.
+    let program = [
+        Instruction::i_type(Opcode::Addi, x(1), Gpr::ZERO, 1).unwrap(),
+        Instruction::b_type(Opcode::Bne, x(1), Gpr::ZERO, BranchOffset::new(16).unwrap()),
+        Instruction::system(Opcode::Ebreak),
+    ];
+    let make = || {
+        let mut hart = Hart::new(MEM);
+        hart.load_program(0, &program).unwrap();
+        let past = [
+            Instruction::i_type(Opcode::Addi, x(6), Gpr::ZERO, 9).unwrap(),
+            Instruction::system(Opcode::Ebreak),
+        ];
+        for (i, insn) in past.into_iter().enumerate() {
+            hart.mem_mut()
+                .store_u32(20 + 4 * i as u64, word_of(insn))
+                .unwrap();
+        }
+        hart
+    };
+    for window in WINDOWS {
+        assert_run_identical(&make, 50, window, "past the end");
+    }
+    let mut hart = make();
+    let batch = Dut::run(&mut hart, 50, 0);
+    assert_eq!(batch.exit, tf_arch::RunExit::Breakpoint { steps: 4 });
+    assert_eq!(hart.state().x(x(6)), 9);
 }
 
 #[test]

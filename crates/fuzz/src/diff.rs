@@ -18,7 +18,7 @@
 //! just *that* the device differs, but the exact instruction where it
 //! went wrong.
 //!
-//! The reference's [`Dut::run`] is the hart's native predecoded-block
+//! The reference's [`Dut::run`] is the hart's native program-table
 //! engine (see `tf_arch::Hart`), which is proven bit-identical to the
 //! default per-step trait body — so the windowed fast path, the exact
 //! replay and the `window == 1` loop all agree on every sample, every
